@@ -6,6 +6,10 @@ no masking of future positions is needed. Temporal decay multiplies each
 attention weight by exp(-(t_i - t_k)^2 / (2 sigma^2)) and renormalizes;
 numerically this folds ln G into the logits before the stabilized
 softmax, which is mathematically identical.
+
+Time stamps are constant within a phase block, so ln G is evaluated once
+per pair of distinct stamps and gathered to token level; one bias matrix
+serves every head of a block.
 """
 
 from __future__ import annotations
@@ -57,9 +61,23 @@ def gaussian_decay(t_i, t_k, sigma):
 
 
 def decay_log_bias(times_q, times_k, sigma):
-    """ln G matrix for per-token time stamps; constant w.r.t. the tape."""
-    g = gaussian_decay(np.asarray(times_q)[:, None], np.asarray(times_k)[None, :], sigma)
-    return np.log(g)
+    """ln G matrix for per-token time stamps; constant w.r.t. the tape.
+
+    Each entry is evaluated on the distinct stamps only, then gathered to
+    token level, so it equals the entrywise formula bit for bit.
+    """
+    uq, iq = np.unique(np.asarray(times_q, dtype=np.float64), return_inverse=True)
+    uk, ik = np.unique(np.asarray(times_k, dtype=np.float64), return_inverse=True)
+    small = np.log(gaussian_decay(uq[:, None], uk[None, :], sigma))
+    return small.take(iq, axis=0).take(ik, axis=1)
+
+
+def _biased_softmax(queries, keys, bias):
+    """softmax(q k^T + bias) over keys; ``bias`` None means no decay."""
+    logits = ad.matmul(queries, ad.transpose(keys))
+    if bias is not None:
+        logits = ad.add(logits, ad.Tensor(bias))
+    return ad.softmax_last_axis(logits)
 
 
 def dtam_weights(queries, keys, times_q, times_k, sigma, use_decay=True):
@@ -70,10 +88,8 @@ def dtam_weights(queries, keys, times_q, times_k, sigma, use_decay=True):
     """
     if keys.shape[0] == 0:
         raise ContractError("empty key set")
-    logits = ad.matmul(queries, ad.transpose(keys))
-    if use_decay:
-        logits = ad.add(logits, ad.Tensor(decay_log_bias(times_q, times_k, sigma)))
-    return ad.softmax_last_axis(logits)
+    bias = decay_log_bias(times_q, times_k, sigma) if use_decay else None
+    return _biased_softmax(queries, keys, bias)
 
 
 def attention_output(weights, values):
@@ -104,12 +120,12 @@ def mmhsa_block(tokens, token_times, cfg, params, use_decay=True, record=None):
     k = ad.linear(h, params["att.k_w"])
     v = ad.linear(h, params["att.v_w"])
 
+    # the decay depends only on the stamps, so every head shares one bias
+    bias = decay_log_bias(token_times, token_times, cfg.sigma) if use_decay else None
     heads = []
     for i in range(cfg.head_count):
         lo, hi = i * head_dim, (i + 1) * head_dim
-        w = dtam_weights(
-            ad.slice_axis(q, 1, lo, hi), ad.slice_axis(k, 1, lo, hi),
-            token_times, token_times, cfg.sigma, use_decay=use_decay)
+        w = _biased_softmax(ad.slice_axis(q, 1, lo, hi), ad.slice_axis(k, 1, lo, hi), bias)
         if record is not None:
             record.setdefault("weights", []).append(w.data.copy())
         heads.append(attention_output(w, ad.slice_axis(v, 1, lo, hi)))

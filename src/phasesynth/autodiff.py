@@ -342,9 +342,10 @@ def softmax_last_axis(a):
     a = as_tensor(a)
     if a.data.size == 0 or a.shape[-1] < 1:
         raise DimensionError("softmax over an empty last axis")
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    # one buffer: shift, exponentiate and normalize in place
+    y = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def backward(out):
         if a.requires_grad:

@@ -1,8 +1,10 @@
 """Command-line surface: generate, train, evaluate, synthesize, ablate.
 
-Exit codes: 0 success, 2 usage/config error, 3 data or checkpoint
-incompatibility, 4 numerical failure. The PHASESYNTH_THREADS environment
-variable caps internal worker parallelism (dataset generation).
+Exit codes: 0 success, 2 usage error (bad arguments, phantom generation
+or domain errors), 3 config, data or checkpoint error (truncated or
+malformed archives included), 4 numerical failure. The
+PHASESYNTH_THREADS environment variable caps internal worker
+parallelism (dataset generation).
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DomainError, GenerationError
-from .tensorio import load_tensor, save_pgm, save_tensor
+from .tensorio import load_tensor, save_tensor
 
 PHASE_NAMES = ("art", "pv", "delay")
 # nominal normalized acquisition times: 30 s / 75 s / 300 s over the
@@ -302,11 +302,3 @@ def load_case(data_dir, entry):
         class_label=int(meta["label"]),
         seed=int(meta["seed"]),
     )
-
-
-def export_case_pgm(case, out_dir, stem="case"):
-    os.makedirs(out_dir, exist_ok=True)
-    save_pgm(os.path.join(out_dir, f"{stem}_ncmri.pgm"), case.ncmri)
-    save_pgm(os.path.join(out_dir, f"{stem}_mask.pgm"), case.tumor_mask)
-    for name, img in zip(PHASE_NAMES, case.phases):
-        save_pgm(os.path.join(out_dir, f"{stem}_phase_{name}.pgm"), img)

@@ -30,13 +30,23 @@ def tensor_bytes(arr):
 
 
 def tensor_from_bytes(blob):
-    newline = blob.index(b"\n")
-    fields = blob[:newline].decode("ascii").split()
+    newline = blob.find(b"\n")
+    if newline < 0:
+        raise ContractError("TNSR header has no terminating newline")
+    fields = blob[:newline].decode("ascii", errors="replace").split()
     if fields[:2] != ["TNSR", "v1"]:
         raise ContractError("not a TNSR v1 payload")
-    rank = int(fields[2])
-    shape = tuple(int(d) for d in fields[3:3 + rank])
-    data = np.frombuffer(blob[newline + 1:], dtype="<f8")
+    try:
+        rank, *shape = (int(f) for f in fields[2:])
+    except ValueError:
+        raise ContractError("malformed TNSR header") from None
+    shape = tuple(shape)
+    if len(shape) != rank or any(d < 0 for d in shape):
+        raise ContractError(f"TNSR header rank {rank} does not match shape {shape}")
+    payload = blob[newline + 1:]
+    if len(payload) % 8:
+        raise ContractError(f"TNSR payload of {len(payload)} bytes is not whole float64 values")
+    data = np.frombuffer(payload, dtype="<f8")
     expected = int(np.prod(shape)) if shape else 1
     if data.size != expected:
         raise ContractError(f"TNSR payload size {data.size} != product of shape {shape}")
@@ -80,14 +90,28 @@ def load_archive(path):
         magic = f.read(len(ARCHIVE_MAGIC))
         if magic != ARCHIVE_MAGIC:
             raise ContractError(f"{path} is not a named-tensor archive")
-        (index_len,) = struct.unpack("<Q", f.read(8))
-        index = json.loads(f.read(index_len).decode("utf-8"))
+        length_field = f.read(8)
+        if len(length_field) != 8:
+            raise ContractError(f"{path}: truncated index length")
+        (index_len,) = struct.unpack("<Q", length_field)
+        if index_len > os.fstat(f.fileno()).st_size - f.tell():
+            raise ContractError(f"{path}: index of {index_len} bytes runs past the end")
+        index_bytes = f.read(index_len)
         body = f.read()
+    try:
+        index = json.loads(index_bytes.decode("utf-8"))
+        entries = [(e["name"], int(e["offset"]), int(e["length"])) for e in index["tensors"]]
+        meta = index.get("meta", {})
+    except (ValueError, KeyError, TypeError):
+        raise ContractError(f"{path}: malformed archive index") from None
     named = {}
-    for entry in index["tensors"]:
-        blob = body[entry["offset"]:entry["offset"] + entry["length"]]
-        named[entry["name"]] = tensor_from_bytes(blob)
-    return named, index.get("meta", {})
+    for name, offset, length in entries:
+        if offset < 0 or length < 0 or offset + length > len(body):
+            raise ContractError(
+                f"{path}: tensor {name!r} spans bytes {offset}..{offset + length} "
+                f"of a {len(body)}-byte body")
+        named[name] = tensor_from_bytes(body[offset:offset + length])
+    return named, meta
 
 
 def save_pgm(path, image):

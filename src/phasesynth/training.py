@@ -93,6 +93,7 @@ def case_losses(case, params, cfg, ablation, weights):
 
 
 def _validation_pass(cases, params, cfg, ablation, weights):
+    params = {name: ad.Tensor(t.data) for name, t in params.items()}  # no tape
     psnrs, dices, correct, losses = [], [], 0, []
     for case in cases:
         bundle, parts = case_losses(case, params, cfg, ablation, weights)

@@ -56,6 +56,28 @@ def test_decay_log_bias_matrix():
     assert bias[1, 0] == pytest.approx(-(0.9 ** 2) / (2 * 0.49))
 
 
+def entrywise_log_bias(tq, tk, sigma):
+    return np.log(gaussian_decay(np.asarray(tq)[:, None], np.asarray(tk)[None, :], sigma))
+
+
+def test_decay_log_bias_equals_entrywise_on_block_stamps():
+    # one stamp per phase block, as the model assembles them (257/514/771 keys)
+    stamps = [0.0, 0.31, 0.58, 0.93]
+    for sizes in ([257], [257, 257], [257, 257, 257], [3, 5, 2, 7]):
+        times = np.concatenate([np.full(n, t) for n, t in zip(sizes, stamps)])
+        for sigma in (0.05, 0.7, 3.0):
+            np.testing.assert_array_equal(decay_log_bias(times, times, sigma),
+                                          entrywise_log_bias(times, times, sigma))
+
+
+def test_decay_log_bias_equals_entrywise_on_distinct_stamps():
+    for nq, nk in ((1, 1), (6, 9), (40, 25)):
+        tq, tk = rng.uniform(-1, 2, nq), rng.uniform(-1, 2, nk)
+        sigma = rng.uniform(0.05, 2.0)
+        np.testing.assert_array_equal(decay_log_bias(tq, tk, sigma),
+                                      entrywise_log_bias(tq, tk, sigma))
+
+
 # ---------------------------------------------------------------------------
 # dtam weights
 
@@ -212,6 +234,40 @@ def test_block_records_head_weights():
     assert len(record["weights"]) == 4
     for w in record["weights"]:
         assert w.shape == (4, 4)
+
+
+@pytest.mark.parametrize("use_decay, expected", [(True, 1), (False, 0)])
+def test_block_builds_decay_bias_once_for_all_heads(monkeypatch, use_decay, expected):
+    import phasesynth.attention as attention
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return decay_log_bias(*args)
+
+    monkeypatch.setattr(attention, "decay_log_bias", counting)
+    d = 8
+    times = np.array([0.4, 0.4, 0.4, 0.1, 0.1])
+    mmhsa_block(ad.Tensor(rng.uniform(-1, 1, (5, d))), times,
+                DtamConfig(head_count=4), block_params(d, 10), use_decay=use_decay)
+    assert len(calls) == expected
+
+
+def test_block_heads_match_per_head_dtam_weights():
+    d, heads = 8, 4
+    params = block_params(d, 10, seed=5)
+    tokens = ad.Tensor(rng.uniform(-1, 1, (6, d)))
+    times = np.array([0.6, 0.6, 0.3, 0.3, 0.0, 0.0])
+    record = {}
+    mmhsa_block(tokens, times, DtamConfig(head_count=heads), params, record=record)
+    h = ad.add(ad.linear(tokens, params["att.in_w"], params["att.in_b"]),
+               ad.slice_axis(params["att.pos"], 0, 0, 6))
+    q, k = ad.linear(h, params["att.q_w"]), ad.linear(h, params["att.k_w"])
+    hd = d // heads
+    for i, w in enumerate(record["weights"]):
+        ref = dtam_weights(ad.slice_axis(q, 1, i * hd, (i + 1) * hd),
+                           ad.slice_axis(k, 1, i * hd, (i + 1) * hd), times, times, 0.7)
+        np.testing.assert_array_equal(w, ref.data)
 
 
 def test_block_gradients_match_finite_differences():

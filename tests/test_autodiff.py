@@ -51,6 +51,15 @@ def test_softmax_closed_form():
     np.testing.assert_allclose(out.data, [0.25, 0.75], atol=1e-14)
 
 
+def test_softmax_leaves_input_unmodified_and_matches_formula():
+    x = np.random.default_rng(4).normal(scale=5.0, size=(7, 11))
+    before = x.copy()
+    out = ad.softmax_last_axis(ad.Tensor(x)).data
+    np.testing.assert_array_equal(x, before)
+    e = np.exp(before - before.max(axis=-1, keepdims=True))
+    np.testing.assert_array_equal(out, e / e.sum(axis=-1, keepdims=True))
+
+
 def test_softmax_empty_rejected():
     with pytest.raises(DimensionError):
         ad.softmax_last_axis(ad.Tensor(np.zeros((2, 0))))

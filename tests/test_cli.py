@@ -88,6 +88,16 @@ def test_evaluate_bad_checkpoint_is_data_error(workspace, tmp_path):
                  "--out", str(tmp_path / "r.json")]) == DATA_ERROR
 
 
+@pytest.mark.parametrize("size", [3_003, 20_001])
+def test_evaluate_truncated_checkpoint_is_data_error(workspace, tmp_path, size, capsys):
+    cut = tmp_path / "cut.ntar"
+    cut.write_bytes(workspace["checkpoint"].read_bytes()[:size])
+    assert main(["evaluate", "--checkpoint", str(cut),
+                 "--data", str(workspace["data"]),
+                 "--out", str(tmp_path / "r.json")]) == DATA_ERROR
+    assert "error:" in capsys.readouterr().err
+
+
 def test_synthesize_emits_five_files_per_case(workspace, tmp_path):
     out = tmp_path / "synth"
     assert main(["synthesize", "--checkpoint", str(workspace["checkpoint"]),

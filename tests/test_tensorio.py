@@ -1,5 +1,8 @@
 """On-disk tensor formats: round trips, reproducibility, error handling."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +83,56 @@ def test_archive_bad_magic(tmp_path):
     path.write_bytes(b"not an archive")
     with pytest.raises(ContractError):
         load_archive(path)
+
+
+@pytest.mark.parametrize("blob", [
+    b"TNSR v1 1 4",  # header without a newline
+    tensor_bytes(np.zeros(4))[:-3],  # payload not whole float64 values
+    b"TNSR v1 2 4\n" + bytes(32),  # rank and shape disagree
+    b"TNSR v1 x\n",
+    b"TNSR\xff v1 0\n" + bytes(8),
+])
+def test_malformed_tensor_rejected(blob):
+    with pytest.raises(ContractError):
+        tensor_from_bytes(blob)
+
+
+def archive_bytes(tmp_path):
+    path = tmp_path / "ck.ntar"
+    save_archive(path, {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(5)}, meta={"k": 1})
+    return path.read_bytes()
+
+
+def test_truncated_archive_rejected_at_every_length(tmp_path):
+    blob = archive_bytes(tmp_path)
+    cut = tmp_path / "cut.ntar"
+    for n in range(len(blob)):
+        cut.write_bytes(blob[:n])
+        with pytest.raises(ContractError):
+            load_archive(cut)
+
+
+def test_archive_index_errors_rejected(tmp_path):
+    blob = archive_bytes(tmp_path)
+    huge = tmp_path / "huge.ntar"  # index length far past the end of the file
+    huge.write_bytes(blob[:8] + struct.pack("<Q", 2 ** 62) + blob[16:])
+    with pytest.raises(ContractError):
+        load_archive(huge)
+
+    (index_len,) = struct.unpack("<Q", blob[8:16])
+    body = blob[16 + index_len:]
+
+    def with_index(index_bytes):
+        bad = tmp_path / "bad.ntar"
+        bad.write_bytes(blob[:8] + struct.pack("<Q", len(index_bytes)) + index_bytes + body)
+        return bad
+
+    index = json.loads(blob[16:16 + index_len])
+    index["tensors"][0]["offset"] = len(body)  # tensor past the body
+    for bad_index in (b"{not json", b"\xff\xfe", b"[]", b'{"tensors": [{}]}',
+                      json.dumps(index).encode()):
+        with pytest.raises(ContractError):
+            load_archive(with_index(bad_index))
 
 
 def test_pgm_header_and_payload(tmp_path):
