@@ -2,7 +2,7 @@
 segmentation, and classification on synthetic phantom data."""
 
 from . import autodiff
-from .attention import DtamConfig, attention_output, dtam_weights, gaussian_decay, mmhsa_block
+from .attention import DtamConfig, dtam_weights, gaussian_decay, mmhsa_block
 from .encoder import (ConditionalToken, EncoderConfig, build_conditional_token,
                       encode_features, phase_embedding, time_encoding)
 from .losses import LossWeights, adam_step, cls_loss, lr_at, seg_loss, syn_loss, total_loss
@@ -18,11 +18,10 @@ __all__ = [
     "ABLATIONS", "CaseRecord", "ConditionalToken", "DtamConfig", "EncoderConfig",
     "LesionSpec", "LossWeights", "ModelConfig", "PhantomConfig", "PhaseOutput",
     "PredictionBundle", "SignalNetConfig", "TrainConfig", "adam_step",
-    "aggregate_segmentation", "attention_output", "autodiff",
-    "build_conditional_token", "cls_loss", "dtam_weights", "encode_features",
-    "enhancement_curve", "fuse_and_classify", "gaussian_decay", "generate_case",
-    "generate_dataset", "init_params", "lr_at", "mmhsa_block", "phase_embedding",
-    "predict_signal", "run_ablation", "run_autoregressive", "seg_loss",
-    "signal_label", "syn_loss", "synthesize_phase", "tcc_loss", "time_encoding",
-    "total_loss", "train",
+    "aggregate_segmentation", "autodiff", "build_conditional_token", "cls_loss",
+    "dtam_weights", "encode_features", "enhancement_curve", "fuse_and_classify",
+    "gaussian_decay", "generate_case", "generate_dataset", "init_params", "lr_at",
+    "mmhsa_block", "phase_embedding", "predict_signal", "run_ablation",
+    "run_autoregressive", "seg_loss", "signal_label", "syn_loss", "synthesize_phase",
+    "tcc_loss", "time_encoding", "total_loss", "train",
 ]

@@ -34,23 +34,6 @@ class DtamConfig:
             raise ConfigError(f"embed_dim {embed_dim} not divisible by head_count {self.head_count}")
 
 
-@dataclass
-class PhaseTokenState:
-    """Token blocks visible to the current step, oldest first.
-
-    blocks: list of (tokens, time) pairs; the final block is the current
-    phase's conditional tokens and carries the current time stamp, so its
-    decay distance to itself is zero.
-    """
-
-    blocks: list
-
-    def validate(self):
-        times = [t for _, t in self.blocks]
-        if times != sorted(times):
-            raise ContractError("token blocks must appear in non-decreasing time order")
-
-
 def gaussian_decay(t_i, t_k, sigma):
     """exp(-(t_i - t_k)^2 / (2 sigma^2)); accepts scalars or arrays."""
     if sigma <= 0:
@@ -92,14 +75,6 @@ def dtam_weights(queries, keys, times_q, times_k, sigma, use_decay=True):
     return _biased_softmax(queries, keys, bias)
 
 
-def attention_output(weights, values):
-    """Weighted sum of value blocks: z = sum_k a_k v_k."""
-    if weights.shape[-1] != values.shape[0]:
-        raise ContractError(
-            f"weight count {weights.shape[-1]} != value block count {values.shape[0]}")
-    return ad.matmul(weights, values)
-
-
 def mmhsa_block(tokens, token_times, cfg, params, use_decay=True, record=None):
     """Masked multi-head self-attention with position encoding and residual.
 
@@ -128,7 +103,7 @@ def mmhsa_block(tokens, token_times, cfg, params, use_decay=True, record=None):
         w = _biased_softmax(ad.slice_axis(q, 1, lo, hi), ad.slice_axis(k, 1, lo, hi), bias)
         if record is not None:
             record.setdefault("weights", []).append(w.data.copy())
-        heads.append(attention_output(w, ad.slice_axis(v, 1, lo, hi)))
+        heads.append(ad.matmul(w, ad.slice_axis(v, 1, lo, hi)))
     z = ad.concat(heads, axis=1)
     out = ad.linear(z, params["att.out_w"], params["att.out_b"])
     return ad.add(out, tokens)

@@ -48,22 +48,6 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _result(data, parents, backward_fn):
     out = Tensor(data)
@@ -378,22 +362,6 @@ def embedding_lookup(table, index):
             table.grad[index] += out.grad
 
     return _result(table.data[index], (table,), backward)
-
-
-def embedding_rows(table, indices):
-    """Gather table rows by an integer index array; grads scatter-add back."""
-    table = as_tensor(table)
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.size and not (0 <= indices.min() and indices.max() < table.shape[0]):
-        raise IndexError(f"embedding indices outside table of {table.shape[0]} rows")
-
-    def backward(out):
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, indices, out.grad)
-
-    return _result(table.data[indices], (table,), backward)
 
 
 # ---------------------------------------------------------------------------

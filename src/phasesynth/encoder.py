@@ -37,20 +37,9 @@ class EncoderConfig:
 
 
 @dataclass
-class TimeEncodingConfig:
-    omega: float = math.pi
-
-    def validate(self):
-        if self.omega <= 0:
-            raise ConfigError("omega must be positive")
-
-
-@dataclass
 class ConditionalToken:
     tokens: ad.Tensor  # (N+1, D) assembled sequence, or (N, D) without conditioning
     time: float  # normalized acquisition time, also the decay stamp
-    t_time: np.ndarray  # (2,)
-    has_condition_token: bool
 
 
 def patchify(images, patch_size):
@@ -124,13 +113,13 @@ def build_conditional_token(t_ot, phase, t, cfg, params, omega=math.pi,
     use_phase / use_time implement the conditioning ablations: with both
     off the sequence is the bare token grid.
     """
-    t_enc = time_encoding(t, omega)
+    t_enc = time_encoding(t, omega)  # validates t on every path
     if not (use_phase or use_time):
-        return ConditionalToken(tokens=t_ot, time=t, t_time=t_enc, has_condition_token=False)
+        return ConditionalToken(tokens=t_ot, time=t)
     t_phase = phase_embedding(phase, params)
     parts = [t_phase, ad.Tensor(t_enc if use_time else np.zeros(2))]
     fused = ad.linear(ad.concat(parts, axis=0), params["enc.fuse_w"], params["enc.fuse_b"])
     if fused.shape[0] != t_ot.shape[1]:
         raise ContractError("fused condition token width differs from token grid width")
     tokens = ad.concat([t_ot, ad.reshape(fused, (1, -1))], axis=0)
-    return ConditionalToken(tokens=tokens, time=t, t_time=t_enc, has_condition_token=True)
+    return ConditionalToken(tokens=tokens, time=t)

@@ -166,7 +166,10 @@ def classification_metrics(predictions, labels):
 def load_checkpoint(path):
     arrays, meta = load_archive(path)
     params = {name: ad.Tensor(arr) for name, arr in arrays.items()}
-    cfg = ModelConfig.from_echo(meta["config"]["model"])
+    try:
+        cfg = ModelConfig.from_echo(meta["config"]["model"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContractError(f"{path}: missing or malformed model config ({exc!r})") from None
     return params, cfg, meta
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import tcc as tcc_mod
-from .attention import DtamConfig, PhaseTokenState, mmhsa_block
+from .attention import DtamConfig, mmhsa_block
 from .encoder import (EncoderConfig, build_conditional_token, encode_features,
                       time_encoding)
 from .errors import ContractError
@@ -243,8 +243,9 @@ def synthesize_phase(index, cond, prior_blocks, cfg, params, use_decay=True, rec
     """One autoregressive step. Returns (PhaseOutput, retained token block)."""
     if len(prior_blocks) != index:
         raise ContractError(f"phase {index} expects {index} prior blocks, got {len(prior_blocks)}")
-    state = PhaseTokenState(blocks=[(b, t) for b, t in prior_blocks] + [(cond.tokens, cond.time)])
-    state.validate()
+    block_times = [t for _, t in prior_blocks] + [cond.time]
+    if block_times != sorted(block_times):
+        raise ContractError("token blocks must appear in non-decreasing time order")
 
     pieces = [cond.tokens] + [b for b, _ in prior_blocks]
     times = np.concatenate(

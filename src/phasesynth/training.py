@@ -14,6 +14,7 @@ from .errors import ConfigError, NumericalError
 from .losses import (AdamState, LossWeights, adam_step, cls_loss, lr_at,
                      seg_loss, syn_loss, total_loss)
 from .metrics import dice as dice_metric
+from .metrics import evaluate
 from .metrics import psnr as psnr_metric
 from .model import ABLATIONS, ModelConfig, init_params, run_autoregressive
 from .phantom import load_case, load_manifest
@@ -200,22 +201,19 @@ def train(cfg, data_dir, out_dir, log_hook=None):
     }
 
 
-def run_ablation(base_cfg, data_dir, out_dir, evaluate_fn=None):
+def run_ablation(base_cfg, data_dir, out_dir):
     """Train and evaluate every ablation variant with a shared seed and data.
 
     Returns the comparison rows in the fixed variant order.
     """
-    from .metrics import evaluate as _evaluate
-    evaluate_fn = evaluate_fn or _evaluate
-
     rows = []
     for variant in ABLATION_ORDER:
         cfg = TrainConfig.from_dict(base_cfg.echo())
         cfg.ablation = variant
         variant_dir = os.path.join(out_dir, variant)
         result = train(cfg, data_dir, variant_dir)
-        report = evaluate_fn(result["checkpoint"], data_dir, split="test",
-                             out_path=os.path.join(variant_dir, "report.json"))
+        report = evaluate(result["checkpoint"], data_dir, split="test",
+                          out_path=os.path.join(variant_dir, "report.json"))
         agg = report["aggregates"]
         rows.append({
             "variant": variant,

@@ -155,8 +155,6 @@ def _op_cases(r):
          lambda x, w: ad.linear(x, w), ("a", "b")),
         ("embedding_lookup", {"a": r.uniform(-1, 1, (5, 3))},
          lambda x: ad.embedding_lookup(x, 2), ("a",)),
-        ("embedding_rows", {"a": r.uniform(-1, 1, (5, 3))},
-         lambda x: ad.embedding_rows(x, [1, 4, 1]), ("a",)),
     ]
     return [(name, arrays, _probed(op, r, *args)) for name, arrays, op, args in cases]
 

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import check_gradients
 from phasesynth import autodiff as ad
-from phasesynth.attention import (DtamConfig, PhaseTokenState,
-                                  attention_output, decay_log_bias,
-                                  dtam_weights, gaussian_decay, mmhsa_block)
+from phasesynth.attention import (DtamConfig, decay_log_bias, dtam_weights,
+                                  gaussian_decay, mmhsa_block)
 from phasesynth.errors import ConfigError, ContractError
 
 rng = np.random.default_rng(2)
@@ -164,32 +163,6 @@ def test_no_decay_flag_ignores_times():
 
 
 # ---------------------------------------------------------------------------
-# attention output
-
-
-def test_single_value_passthrough():
-    v = ad.Tensor(rng.uniform(-1, 1, (1, 5)))
-    out = attention_output(ad.Tensor([[1.0]]), v)
-    np.testing.assert_allclose(out.data, v.data)
-
-
-def test_cancellation():
-    v = rng.uniform(-1, 1, 5)
-    out = attention_output(ad.Tensor([[0.5, 0.5]]), ad.Tensor(np.stack([v, -v])))
-    np.testing.assert_allclose(out.data, np.zeros((1, 5)), atol=1e-15)
-
-
-def test_weighted_sum_oracle():
-    out = attention_output(ad.Tensor([[0.25, 0.75]]), ad.Tensor([[1.0], [5.0]]))
-    assert out.data[0, 0] == pytest.approx(4.0)
-
-
-def test_count_mismatch_rejected():
-    with pytest.raises(ContractError):
-        attention_output(ad.Tensor([[0.5, 0.5]]), ad.Tensor(np.zeros((3, 4))))
-
-
-# ---------------------------------------------------------------------------
 # block level
 
 
@@ -286,10 +259,3 @@ def test_block_gradients_match_finite_differences():
         return ad.reduce_sum(ad.mul(out, ad.Tensor(probe)))
 
     check_gradients(build, arrays)
-
-
-def test_state_time_order_validated():
-    blocks = [(ad.Tensor(np.zeros((2, 4))), 0.5), (ad.Tensor(np.zeros((2, 4))), 0.1)]
-    with pytest.raises(ContractError):
-        PhaseTokenState(blocks=blocks).validate()
-    PhaseTokenState(blocks=list(reversed(blocks))).validate()

@@ -220,21 +220,3 @@ def test_gradients_slice_concat_reshape():
         return ad.reduce_mean(ad.mul(joined, joined))
 
     check_gradients(build, arrays)
-
-
-def test_embedding_rows_gather_and_scatter_add():
-    table = ad.Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
-    out = ad.embedding_rows(table, [2, 0, 2])
-    np.testing.assert_array_equal(out.data, [[6, 7, 8], [0, 1, 2], [6, 7, 8]])
-    loss = ad.reduce_sum(ad.mul(out, out))
-    ad.backward(loss)
-    # row 2 gathered twice: grads accumulate
-    np.testing.assert_array_equal(table.grad[2], 2 * 2 * np.array([6, 7, 8]))
-    np.testing.assert_array_equal(table.grad[0], 2 * np.array([0, 1, 2]))
-    np.testing.assert_array_equal(table.grad[1], 0.0)
-
-
-def test_embedding_rows_out_of_range():
-    table = ad.Tensor(np.zeros((3, 2)))
-    with pytest.raises(IndexError):
-        ad.embedding_rows(table, [0, 3])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from phasesynth.cli import DATA_ERROR, USAGE_ERROR, main
+from phasesynth.tensorio import load_archive, save_archive
 
 PHANTOM_CFG = {"case_count": 12, "master_seed": 7,
                "split_fractions": [0.5, 0.25, 0.25]}
@@ -96,6 +97,32 @@ def test_evaluate_truncated_checkpoint_is_data_error(workspace, tmp_path, size, 
                  "--data", str(workspace["data"]),
                  "--out", str(tmp_path / "r.json")]) == DATA_ERROR
     assert "error:" in capsys.readouterr().err
+
+
+def _drop_image_size(meta):
+    del meta["config"]["model"]["image_size"]
+
+
+def _model_not_a_dict(meta):
+    meta["config"]["model"] = ["image_size", 64]
+
+
+def _no_config(meta):
+    del meta["config"]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "synthesize"])
+@pytest.mark.parametrize("damage", [_drop_image_size, _model_not_a_dict, _no_config])
+def test_checkpoint_without_model_config_is_data_error(workspace, tmp_path, command,
+                                                       damage, capsys):
+    arrays, meta = load_archive(workspace["checkpoint"])
+    damage(meta)
+    broken = tmp_path / "broken.ntar"
+    save_archive(broken, arrays, meta=meta)
+    assert main([command, "--checkpoint", str(broken),
+                 "--data", str(workspace["data"]),
+                 "--out", str(tmp_path / "out")]) == DATA_ERROR
+    assert "model config" in capsys.readouterr().err
 
 
 def test_synthesize_emits_five_files_per_case(workspace, tmp_path):

@@ -176,7 +176,6 @@ def test_conditional_token_shape():
                            cfg.encoder, params)
     cond = build_conditional_token(t_ot, "art", 0.1, cfg.encoder, params)
     assert cond.tokens.shape == (5, 16)  # 4 image tokens + 1 condition token
-    assert cond.has_condition_token
 
 
 def test_conditional_token_locality():
@@ -195,7 +194,6 @@ def test_conditional_token_ablation_flags():
                            cfg.encoder, params)
     bare = build_conditional_token(t_ot, "pv", 0.25, cfg.encoder, params,
                                    use_phase=False, use_time=False)
-    assert not bare.has_condition_token
     assert bare.tokens.shape == (4, 16)
     no_time = build_conditional_token(t_ot, "pv", 0.25, cfg.encoder, params,
                                       use_time=False)
