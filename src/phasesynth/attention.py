@@ -57,10 +57,7 @@ def decay_log_bias(times_q, times_k, sigma):
 
 def _biased_softmax(queries, keys, bias):
     """softmax(q k^T + bias) over keys; ``bias`` None means no decay."""
-    logits = ad.matmul(queries, ad.transpose(keys))
-    if bias is not None:
-        logits = ad.add(logits, ad.Tensor(bias))
-    return ad.softmax_last_axis(logits)
+    return ad.softmax_last_axis(ad.matmul(queries, ad.transpose(keys)), bias=bias)
 
 
 def dtam_weights(queries, keys, times_q, times_k, sigma, use_decay=True):

@@ -4,8 +4,13 @@ The graph built during a forward pass *is* the tape: every produced Tensor
 remembers its parents and a closure that pushes adjoints to them.
 ``backward`` walks that record once, in reverse topological order.
 
-Gradient policy: repeated ``backward`` calls accumulate into ``grad``
-(callers reset with ``zero_grads`` between steps).
+Gradient policy: ``backward`` consumes the graph. Each operation node
+drops its adjoint, closure and parents once it has pushed its adjoint
+on, so only leaves keep ``grad``, and a second ``backward`` through a
+consumed graph raises ``ContractError``. Leaves accumulate across
+``backward`` calls on new graphs (callers reset with ``zero_grads``
+between steps). Adjoint arrays may be shared between tensors, so they
+are never updated in place.
 
 Broadcasting is limited to leading-axis expansion: two operands are
 compatible when their shapes are equal or one shape is a suffix of the
@@ -44,9 +49,7 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def _accumulate(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        self.grad = g if self.grad is None else self.grad + g
 
 
 def _result(data, parents, backward_fn):
@@ -288,9 +291,9 @@ def slice_axis(a, axis, start, stop):
 
     def backward(out):
         if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[sl] += out.grad
+            g = np.zeros_like(a.data)
+            g[sl] = out.grad
+            a._accumulate(g)
 
     return _result(a.data[sl], (a,), backward)
 
@@ -322,19 +325,34 @@ def reduce_mean(a, axis=None):
     return _result(a.data.mean(axis=axis), (a,), backward)
 
 
-def softmax_last_axis(a):
+def softmax_last_axis(a, bias=None):
+    """softmax(a + bias) over the last axis; ``bias`` is a constant array.
+
+    The bias is added into the one buffer that is then shifted,
+    exponentiated and normalized in place, so it costs no extra node.
+    """
     a = as_tensor(a)
     if a.data.size == 0 or a.shape[-1] < 1:
         raise DimensionError("softmax over an empty last axis")
-    # one buffer: shift, exponentiate and normalize in place
-    y = a.data - a.data.max(axis=-1, keepdims=True)
+    if bias is None:
+        y = a.data - a.data.max(axis=-1, keepdims=True)
+    else:
+        bias = np.asarray(bias, dtype=np.float64)
+        if _broadcast_shape(a.shape, bias.shape) != a.shape:
+            raise DimensionError(f"softmax bias {bias.shape} does not fit logits {a.shape}")
+        y = a.data + bias
+        y -= y.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
 
     def backward(out):
         if a.requires_grad:
+            # y * (g - sum(y * g)) in one buffer
             g = out.grad
-            a._accumulate(y * (g - (y * g).sum(axis=-1, keepdims=True)))
+            buf = y * g
+            np.subtract(g, buf.sum(axis=-1, keepdims=True), out=buf)
+            buf *= y
+            a._accumulate(buf)
 
     return _result(y, (a,), backward)
 
@@ -357,9 +375,9 @@ def embedding_lookup(table, index):
 
     def backward(out):
         if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            table.grad[index] += out.grad
+            g = np.zeros_like(table.data)
+            g[index] = out.grad
+            table._accumulate(g)
 
     return _result(table.data[index], (table,), backward)
 
@@ -368,8 +386,12 @@ def embedding_lookup(table, index):
 # backward pass
 
 
+def _consumed(node):
+    raise ContractError("graph already consumed by backward; run the forward pass again")
+
+
 def backward(loss):
-    """Populate ``grad`` on every requires_grad tensor reachable from loss."""
+    """Accumulate ``grad`` on every leaf reachable from loss; frees the graph as it goes."""
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
     topo = []
@@ -382,15 +404,21 @@ def backward(loss):
             continue
         if id(node) in seen or not node.requires_grad:
             continue
+        if node._backward is _consumed:
+            _consumed(node)
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
             stack.append((p, False))
 
     loss._accumulate(np.ones_like(loss.data))
-    for node in reversed(topo):
+    while topo:  # reverse topological order; popping drops the walk's reference
+        node = topo.pop()
         if node._backward is not None:
             node._backward(node)
+            node.grad = None
+            node._backward = _consumed
+            node._parents = ()
 
 
 def zero_grads(tensors):

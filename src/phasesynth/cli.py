@@ -132,6 +132,9 @@ def cmd_synthesize(args):
     manifest = load_manifest(args.data)
     if manifest["config"]["image_size"] != cfg.image_size:
         raise ConfigError("checkpoint and dataset image sizes differ")
+    seed = meta["config"].get("seed")
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ContractError(f"{args.checkpoint}: checkpoint config has no integer seed")
     _check_out_dir(args.out, args.force)
     ablation = meta["config"].get("ablation", "full")
     outputs = []
@@ -162,7 +165,7 @@ def cmd_synthesize(args):
         outputs.append(cls_path)
         if record is not None:
             _dump_attention(record, args.out, cid)
-    _write_run_manifest(args.out, "synthesize", args, meta["config"]["seed"], started, outputs)
+    _write_run_manifest(args.out, "synthesize", args, seed, started, outputs)
     return 0
 
 

@@ -9,6 +9,7 @@ into a single conditioning token appended to the grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,8 +55,13 @@ def patchify(images, patch_size):
     return np.concatenate(flat, axis=1)
 
 
+@functools.lru_cache(maxsize=None)
 def neighbor_mix_matrix(grid):
-    """Constant (N, N) operator averaging each token with its 4-neighbors."""
+    """Constant (N, N) operator averaging each token with its 4-neighbors.
+
+    Built once per grid size and returned read-only, since every caller
+    shares the cached array.
+    """
     n = grid * grid
     a = np.zeros((n, n))
     for r in range(grid):
@@ -72,6 +78,7 @@ def neighbor_mix_matrix(grid):
                 neigh.append(i + 1)
             for j in neigh:
                 a[i, j] = 1.0 / len(neigh)
+    a.flags.writeable = False
     return a
 
 

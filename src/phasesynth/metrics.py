@@ -34,7 +34,10 @@ def mse(a, b):
 
 def psnr(a, b):
     """10 log10(1 / MSE) for data range 1, capped at 100 dB."""
-    err = mse(a, b)
+    return _psnr_of_mse(mse(a, b))
+
+
+def _psnr_of_mse(err):
     if err <= 0.0:
         return PSNR_CAP
     return min(PSNR_CAP, 10.0 * np.log10(1.0 / err))
@@ -60,7 +63,7 @@ def ssim(a, b):
 
 def _check_binary(mask):
     arr = np.asarray(mask)
-    if not np.all(np.isin(arr, (0, 1))):
+    if not np.all((arr == 0) | (arr == 1)):
         raise ContractError("mask must be binary")
     return arr.astype(bool)
 
@@ -105,18 +108,19 @@ def _surface_distances(p, q):
 
 def hd95(p, q):
     """95th percentile (linear interpolation) of symmetric boundary distances."""
-    dists = _surface_distances(p, q)
-    if dists is None:
-        return float("inf")
-    return float(np.percentile(dists, 95.0))
+    return _hd95_asd(_surface_distances(p, q))[0]
 
 
 def asd(p, q):
     """Mean of the pooled symmetric boundary distance set."""
-    dists = _surface_distances(p, q)
+    return _hd95_asd(_surface_distances(p, q))[1]
+
+
+def _hd95_asd(dists):
+    """(hd95, asd) of one pooled distance set; both infinite when it is None."""
     if dists is None:
-        return float("inf")
-    return float(dists.mean())
+        return float("inf"), float("inf")
+    return float(np.percentile(dists, 95.0)), float(dists.mean())
 
 
 def classification_metrics(predictions, labels):
@@ -199,14 +203,14 @@ def evaluate(checkpoint_path, data_dir, split="test", out_path=None):
                                     params, cfg, ablation=ablation)
         per_phase = {}
         for name, po, gt in zip(PHASE_NAMES, bundle.phase_outputs, case.phases):
+            err = mse(po.image.data, gt)
             per_phase[name] = {
-                "mse": mse(po.image.data, gt),
-                "psnr": psnr(po.image.data, gt),
+                "mse": err,
+                "psnr": _psnr_of_mse(err),
                 "ssim": ssim(po.image.data, gt),
             }
         gt_mask = case.tumor_mask.astype(np.uint8)
-        h = hd95(bundle.aggregated_mask, gt_mask)
-        a = asd(bundle.aggregated_mask, gt_mask)
+        h, a = _hd95_asd(_surface_distances(bundle.aggregated_mask, gt_mask))
         empty = not np.isfinite(h)
         pred = int(np.argmax(bundle.class_probs.data))
         preds.append(pred)

@@ -190,6 +190,93 @@ def test_backward_shared_subexpression_counted_once_per_use():
     np.testing.assert_allclose(x.grad, [8.0])  # d/dx 2x^2 = 4x
 
 
+def test_backward_frees_operation_nodes_and_keeps_leaf_grads():
+    x = ad.Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
+    w = ad.Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True)
+    hidden = ad.sigmoid(ad.matmul(x, w))
+    loss = ad.reduce_sum(ad.mul(hidden, hidden))
+    ad.backward(loss)
+    for node in (hidden, loss):
+        assert node.grad is None and node._parents == ()
+    assert x.grad.shape == (2, 3) and w.grad.shape == (3, 2)
+    assert hidden.data.shape == (2, 2)  # values stay readable
+
+
+def test_second_backward_on_consumed_graph_raises():
+    x = ad.Tensor([3.0], requires_grad=True)
+    loss = ad.reduce_sum(ad.mul(x, x))
+    ad.backward(loss)
+    first = x.grad.copy()
+    with pytest.raises(ContractError):
+        ad.backward(loss)
+    # a new loss over a consumed intermediate is refused too, before any push
+    y = ad.exp(x)
+    ad.backward(ad.reduce_sum(y))
+    with pytest.raises(ContractError):
+        ad.backward(ad.reduce_sum(ad.add(y, x)))
+    np.testing.assert_array_equal(x.grad, first + np.exp(3.0))
+
+
+def test_add_of_one_tensor_twice_doubles_the_adjoint():
+    x = ad.Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True)
+    probe = rng.uniform(-1, 1, (3, 2))
+    ad.backward(ad.reduce_sum(ad.mul(ad.add(x, x), ad.Tensor(probe))))
+    np.testing.assert_array_equal(x.grad, probe + probe)
+
+
+def test_overlapping_slices_of_one_tensor_sum_their_adjoints():
+    x = ad.Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
+    head = ad.slice_axis(x, 0, 0, 3)
+    tail = ad.slice_axis(x, 0, 1, 4)
+    ad.backward(ad.add(ad.reduce_sum(head), ad.scale(ad.reduce_sum(tail), 2.0)))
+    np.testing.assert_array_equal(x.grad, [[1.0] * 3, [3.0] * 3, [3.0] * 3, [2.0] * 3])
+
+
+def test_concat_of_one_tensor_twice_sums_both_pieces():
+    x = ad.Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
+    probe = rng.uniform(-1, 1, (2, 6))
+    ad.backward(ad.reduce_sum(ad.mul(ad.concat([x, x], axis=1), ad.Tensor(probe))))
+    np.testing.assert_array_equal(x.grad, probe[:, :3] + probe[:, 3:])
+
+
+@pytest.mark.parametrize("x_first", [True, False])
+@pytest.mark.parametrize("other_use", ["mul", "slice"])
+def test_adjoint_shared_by_two_parents_is_never_updated_in_place(x_first, other_use):
+    # add() hands one adjoint array to both parents; a later adjoint of x
+    # must not write into it, or w's gradient changes too
+    x = ad.Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True)
+    w = ad.Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True)
+    probe = rng.uniform(-1, 1, (3, 2))
+    shared = ad.reduce_sum(ad.mul(ad.add(x, w), ad.Tensor(probe)))
+    if other_use == "mul":
+        other, extra = ad.reduce_sum(ad.scale(x, 3.0)), np.full((3, 2), 3.0)
+    else:
+        other, extra = ad.reduce_sum(ad.slice_axis(x, 0, 1, 3)), np.ones((3, 2))
+        extra[0] = 0.0
+    ad.backward(ad.add(shared, other) if x_first else ad.add(other, shared))
+    np.testing.assert_array_equal(w.grad, probe)
+    np.testing.assert_array_equal(x.grad, probe + extra)
+
+
+def test_softmax_bias_equals_adding_the_bias_first():
+    logits = rng.uniform(-3, 3, (5, 7))
+    bias = np.log(rng.uniform(0.05, 1.0, (5, 7)))
+    probe = ad.Tensor(rng.uniform(-1, 1, (5, 7)))
+    fused_in = ad.Tensor(logits, requires_grad=True)
+    fused = ad.softmax_last_axis(fused_in, bias=bias)
+    added_in = ad.Tensor(logits, requires_grad=True)
+    added = ad.softmax_last_axis(ad.add(added_in, ad.Tensor(bias)))
+    np.testing.assert_array_equal(fused.data, added.data)
+    ad.backward(ad.reduce_sum(ad.mul(fused, probe)))
+    ad.backward(ad.reduce_sum(ad.mul(added, probe)))
+    np.testing.assert_array_equal(fused_in.grad, added_in.grad)
+
+
+def test_softmax_bias_must_fit_the_logits():
+    with pytest.raises(DimensionError):
+        ad.softmax_last_axis(ad.Tensor(np.zeros((2, 3))), bias=np.zeros((4, 2, 3)))
+
+
 # ---------------------------------------------------------------------------
 # finite-difference spot checks (the exhaustive suite lives in acceptance)
 

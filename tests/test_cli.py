@@ -125,6 +125,22 @@ def test_checkpoint_without_model_config_is_data_error(workspace, tmp_path, comm
     assert "model config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [None, "3", 2.5])
+def test_synthesize_without_integer_seed_writes_nothing(workspace, tmp_path, seed, capsys):
+    arrays, meta = load_archive(workspace["checkpoint"])
+    if seed is None:
+        del meta["config"]["seed"]
+    else:
+        meta["config"]["seed"] = seed
+    broken = tmp_path / "no_seed.ntar"
+    save_archive(broken, arrays, meta=meta)
+    out = tmp_path / "out"
+    assert main(["synthesize", "--checkpoint", str(broken),
+                 "--data", str(workspace["data"]), "--out", str(out)]) == DATA_ERROR
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists() or not list(out.glob("*.pgm"))
+
+
 def test_synthesize_emits_five_files_per_case(workspace, tmp_path):
     out = tmp_path / "synth"
     assert main(["synthesize", "--checkpoint", str(workspace["checkpoint"]),

@@ -58,6 +58,23 @@ def test_neighbor_mix_rows_are_averages():
     assert mix[0, 0] == pytest.approx(1 / 3)
 
 
+def test_neighbor_mix_is_cached_read_only_and_matches_definition():
+    grid = 4
+    expected = np.zeros((grid * grid, grid * grid))
+    for r in range(grid):
+        for c in range(grid):
+            neigh = [(r, c)] + [(r + dr, c + dc) for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1))
+                                if 0 <= r + dr < grid and 0 <= c + dc < grid]
+            for nr, nc in neigh:
+                expected[r * grid + c, nr * grid + nc] = 1.0 / len(neigh)
+    mix = neighbor_mix_matrix(grid)
+    np.testing.assert_array_equal(mix, expected)
+    assert neighbor_mix_matrix(grid) is mix
+    assert not mix.flags.writeable
+    with pytest.raises(ValueError):
+        mix[0, 0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # encode_features
 

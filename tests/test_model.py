@@ -291,21 +291,50 @@ FROZEN_UNTIL_TCC_FIX = {
 }
 
 
-def test_only_listed_parameters_get_no_gradient():
-    from phasesynth.losses import LossWeights
+def default_training_case():
+    """The default model and one synthetic 64x64 training case."""
     from phasesynth.phantom import CaseRecord
-    from phasesynth.training import case_losses
 
-    # the default model: small_setup has no beacon head, so its att.out_w
-    # starts at zero and blocks every upstream attention gradient at step 0
     cfg = ModelConfig()
     params = init_params(cfg, np.random.default_rng(0))
     img, mask = random_case(size=64)
     case = CaseRecord(ncmri=img, tumor_mask=mask,
                       phases=[np.clip(img + 0.05 * (i + 1), 0, 1) for i in range(3)],
                       times=DEFAULT_TIMES, class_label=1, seed=0)
+    return cfg, params, case
+
+
+def test_only_listed_parameters_get_no_gradient():
+    from phasesynth.losses import LossWeights
+    from phasesynth.training import case_losses
+
+    # the default model: small_setup has no beacon head, so its att.out_w
+    # starts at zero and blocks every upstream attention gradient at step 0
+    cfg, params, case = default_training_case()
     _, parts = case_losses(case, params, cfg, "full", LossWeights())
     ad.backward(parts["total"])
     frozen = {name for name, p in params.items()
               if p.grad is None or not np.any(p.grad)}
     assert frozen == FROZEN_UNTIL_TCC_FIX
+
+
+def test_backward_releases_the_tape_of_a_training_case():
+    import tracemalloc
+
+    from phasesynth.losses import LossWeights
+    from phasesynth.training import case_losses
+
+    cfg, params, case = default_training_case()
+    case_losses(case, params, cfg, "full", LossWeights())  # warm one-time caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        bundle, parts = case_losses(case, params, cfg, "full", LossWeights())
+        tape = tracemalloc.get_traced_memory()[0] - base
+        ad.backward(parts["total"])
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    # what stays is the parameter gradients and the outputs the caller holds
+    assert held < tape / 4, (held, tape)
+    assert bundle.phase_outputs[0].image.data.shape == (64, 64)
