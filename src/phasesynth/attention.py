@@ -10,6 +10,12 @@ softmax, which is mathematically identical.
 Time stamps are constant within a phase block, so ln G is evaluated once
 per pair of distinct stamps and gathered to token level; one bias matrix
 serves every head of a block.
+
+All heads of a block run in one tape node, ``autodiff.dtam_attention``.
+It keeps the (heads, n, n) weights only when training needs them for
+``backward`` or the caller records them (``record``, as ``synthesize
+--dump-attention`` does); a forward pass without either holds one n x n
+score matrix at a time.
 """
 
 from __future__ import annotations
@@ -55,11 +61,6 @@ def decay_log_bias(times_q, times_k, sigma):
     return small.take(iq, axis=0).take(ik, axis=1)
 
 
-def _biased_softmax(queries, keys, bias):
-    """softmax(q k^T + bias) over keys; ``bias`` None means no decay."""
-    return ad.softmax_last_axis(ad.matmul(queries, ad.transpose(keys)), bias=bias)
-
-
 def dtam_weights(queries, keys, times_q, times_k, sigma, use_decay=True):
     """Row-stochastic attention weights with Gaussian time decay.
 
@@ -69,7 +70,7 @@ def dtam_weights(queries, keys, times_q, times_k, sigma, use_decay=True):
     if keys.shape[0] == 0:
         raise ContractError("empty key set")
     bias = decay_log_bias(times_q, times_k, sigma) if use_decay else None
-    return _biased_softmax(queries, keys, bias)
+    return ad.softmax_last_axis(ad.matmul(queries, ad.transpose(keys)), bias=bias)
 
 
 def mmhsa_block(tokens, token_times, cfg, params, use_decay=True, record=None):
@@ -77,10 +78,11 @@ def mmhsa_block(tokens, token_times, cfg, params, use_decay=True, record=None):
 
     tokens: (n, D) assembled input; token_times: per-token time stamps.
     Returns the updated (n, D) sequence (attention output + residual).
+    With ``record`` a dict, ``record["weights"]`` receives each head's
+    (n, n) attention weights.
     """
     n, dim = tokens.shape
     cfg.validate(dim)
-    head_dim = dim // cfg.head_count
 
     h = ad.linear(tokens, params["att.in_w"], params["att.in_b"])
     # absolute sequence positions: the current block always occupies the
@@ -94,13 +96,7 @@ def mmhsa_block(tokens, token_times, cfg, params, use_decay=True, record=None):
 
     # the decay depends only on the stamps, so every head shares one bias
     bias = decay_log_bias(token_times, token_times, cfg.sigma) if use_decay else None
-    heads = []
-    for i in range(cfg.head_count):
-        lo, hi = i * head_dim, (i + 1) * head_dim
-        w = _biased_softmax(ad.slice_axis(q, 1, lo, hi), ad.slice_axis(k, 1, lo, hi), bias)
-        if record is not None:
-            record.setdefault("weights", []).append(w.data.copy())
-        heads.append(ad.matmul(w, ad.slice_axis(v, 1, lo, hi)))
-    z = ad.concat(heads, axis=1)
+    weights = record.setdefault("weights", []) if record is not None else None
+    z = ad.dtam_attention(q, k, v, bias, cfg.head_count, weights_out=weights)
     out = ad.linear(z, params["att.out_w"], params["att.out_b"])
     return ad.add(out, tokens)

@@ -15,6 +15,11 @@ are never updated in place.
 Broadcasting is limited to leading-axis expansion: two operands are
 compatible when their shapes are equal or one shape is a suffix of the
 other (a scalar broadcasts against anything).
+
+Multi-head attention is one node, ``dtam_attention``, with a backward
+written by hand and batched over heads. It keeps every head's weights
+only when an input requires a gradient or the caller asks for them;
+without a tape the heads share one reused score buffer.
 """
 
 from __future__ import annotations
@@ -355,6 +360,82 @@ def softmax_last_axis(a, bias=None):
             a._accumulate(buf)
 
     return _result(y, (a,), backward)
+
+
+def _split_heads(x, heads):
+    """(rows, H * d_h) -> (H, rows, d_h) view of the column blocks."""
+    rows, width = x.shape
+    return x.reshape(rows, heads, width // heads).transpose(1, 0, 2)
+
+
+def _merge_heads(x):
+    """(H, rows, d_h) -> (rows, H * d_h), the inverse of ``_split_heads``."""
+    heads, rows, head_dim = x.shape
+    return x.transpose(1, 0, 2).reshape(rows, heads * head_dim)
+
+
+def dtam_attention(q, k, v, bias, heads, weights_out=None):
+    """Multi-head ``softmax(q_h k_h^T + bias) v_h``, heads concatenated, as one node.
+
+    q: (n, D), k and v: (nk, D); head h owns columns [h d_h, (h+1) d_h)
+    with d_h = D / heads. ``bias`` is a constant (n, nk) array shared by
+    every head, or None. Returns the (n, D) concatenation of the heads.
+
+    Each head's weights are filled in place (scores, + bias, shift, exp,
+    normalize) into one of two buffers. They are kept, as an (H, n, nk)
+    array, only when some input requires a gradient (the hand-written
+    backward, batched over heads, reads them) or when ``weights_out``, a
+    list, is given; it then receives one (n, nk) array per head. Otherwise
+    every head reuses one (n, nk) scratch, so a forward pass without a
+    tape holds a single score matrix at a time.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
+        raise DimensionError(f"dtam_attention needs 2-D q, k, v: {q.shape}, {k.shape}, {v.shape}")
+    n, dim = q.shape
+    nk = k.shape[0]
+    if k.shape[1] != dim or v.shape[1] != dim or heads < 1 or dim % heads:
+        raise DimensionError(
+            f"q, k, v widths {dim}, {k.shape[1]}, {v.shape[1]} must be equal "
+            f"and divisible by {heads} heads")
+    if v.shape[0] != nk or nk == 0:
+        raise DimensionError(f"keys {k.shape} and values {v.shape} need the same nonzero rows")
+    if bias is not None:
+        bias = np.asarray(bias, dtype=np.float64)
+        if bias.shape != (n, nk):
+            raise DimensionError(f"attention bias {bias.shape} is not ({n}, {nk})")
+    qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
+    keep = weights_out is not None or any(t.requires_grad for t in (q, k, v))
+    w = np.empty((heads if keep else 1, n, nk))
+    z = np.empty((heads, n, dim // heads))
+    for h in range(heads):
+        wh = w[h if keep else 0]
+        np.matmul(qh[h], kh[h].T, out=wh)
+        if bias is not None:
+            wh += bias
+        wh -= wh.max(axis=-1, keepdims=True)
+        np.exp(wh, out=wh)
+        wh /= wh.sum(axis=-1, keepdims=True)
+        np.matmul(wh, vh[h], out=z[h])
+    if weights_out is not None:
+        weights_out.extend(w)
+
+    def backward(out):
+        g = _split_heads(out.grad, heads)
+        if v.requires_grad:
+            v._accumulate(_merge_heads(np.matmul(w.transpose(0, 2, 1), g)))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        # softmax backward w * (dw - sum(w * dw)), formed in dw's buffer
+        s = np.matmul(g, vh.transpose(0, 2, 1))
+        s -= (w * s).sum(axis=-1, keepdims=True)
+        s *= w
+        if q.requires_grad:
+            q._accumulate(_merge_heads(np.matmul(s, kh)))
+        if k.requires_grad:
+            k._accumulate(_merge_heads(np.matmul(qh.transpose(0, 2, 1), s).transpose(0, 2, 1)))
+
+    return _result(_merge_heads(z), (q, k, v), backward)
 
 
 def linear(x, w, b=None):

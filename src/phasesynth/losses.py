@@ -62,7 +62,7 @@ def seg_loss(seg_logits_per_phase, gt_mask, weights):
     the per-phase maps against the shared ground-truth mask.
     """
     gt = np.asarray(gt_mask, dtype=np.float64)
-    if not np.all(np.isin(gt, (0.0, 1.0))):
+    if not np.all((gt == 0) | (gt == 1)):
         raise ContractError("segmentation ground truth must be binary")
     total = ad.Tensor(0.0)
     for logits in seg_logits_per_phase:

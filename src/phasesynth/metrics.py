@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ContractError
-from .model import ModelConfig, run_autoregressive
+from .model import ModelConfig, init_params, run_autoregressive
 from .phantom import PHASE_NAMES, load_case, load_manifest
 from .tensorio import load_archive
 
@@ -168,12 +168,24 @@ def classification_metrics(predictions, labels):
 
 
 def load_checkpoint(path):
+    """Return (params, ModelConfig, meta); the tensors must be exactly the
+    names and shapes ``init_params`` gives for the stored model config."""
     arrays, meta = load_archive(path)
-    params = {name: ad.Tensor(arr) for name, arr in arrays.items()}
     try:
         cfg = ModelConfig.from_echo(meta["config"]["model"])
+        expected = init_params(cfg, np.random.default_rng(0))
     except (KeyError, TypeError, ValueError) as exc:
         raise ContractError(f"{path}: missing or malformed model config ({exc!r})") from None
+    missing = sorted(expected.keys() - arrays.keys())
+    extra = sorted(arrays.keys() - expected.keys())
+    if missing or extra:
+        raise ContractError(f"{path}: parameters missing {missing}, unexpected {extra}")
+    for name, t in expected.items():
+        if arrays[name].shape != t.shape:
+            raise ContractError(
+                f"{path}: parameter {name!r} has shape {arrays[name].shape}, "
+                f"the model config needs {t.shape}")
+    params = {name: ad.Tensor(arr) for name, arr in arrays.items()}
     return params, cfg, meta
 
 

@@ -11,6 +11,7 @@ payloads. Byte-for-byte reproducible for identical contents.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -47,10 +48,12 @@ def tensor_from_bytes(blob):
     if len(payload) % 8:
         raise ContractError(f"TNSR payload of {len(payload)} bytes is not whole float64 values")
     data = np.frombuffer(payload, dtype="<f8")
-    expected = int(np.prod(shape)) if shape else 1
-    if data.size != expected:
+    if data.size != math.prod(shape):
         raise ContractError(f"TNSR payload size {data.size} != product of shape {shape}")
-    return data.reshape(shape).astype(np.float64)
+    try:
+        return data.reshape(shape).astype(np.float64)
+    except ValueError:  # over 64 axes, or an empty shape NumPy cannot index
+        raise ContractError(f"TNSR shape {shape} is not a valid array shape") from None
 
 
 def save_tensor(path, arr):
@@ -102,10 +105,12 @@ def load_archive(path):
         index = json.loads(index_bytes.decode("utf-8"))
         entries = [(e["name"], int(e["offset"]), int(e["length"])) for e in index["tensors"]]
         meta = index.get("meta", {})
-    except (ValueError, KeyError, TypeError):
+    except (ValueError, KeyError, TypeError, OverflowError):
         raise ContractError(f"{path}: malformed archive index") from None
     named = {}
     for name, offset, length in entries:
+        if not isinstance(name, str):
+            raise ContractError(f"{path}: tensor name {name!r} is not a string")
         if offset < 0 or length < 0 or offset + length > len(body):
             raise ContractError(
                 f"{path}: tensor {name!r} spans bytes {offset}..{offset + length} "

@@ -17,6 +17,7 @@ the suite's wall time.
 import itertools
 import json
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -155,6 +156,13 @@ def _op_cases(r):
          lambda x, w: ad.linear(x, w), ("a", "b")),
         ("embedding_lookup", {"a": r.uniform(-1, 1, (5, 3))},
          lambda x: ad.embedding_lookup(x, 2), ("a",)),
+        ("dtam_attention", {"a": a34(), "b": r.uniform(-1, 1, (5, 4)),
+                            "c": r.uniform(-1, 1, (5, 4))},
+         lambda x, y, z: ad.dtam_attention(x, y, z, None, 2), ("a", "b", "c")),
+        ("dtam_attention_bias", {"a": a34(), "b": r.uniform(-1, 1, (5, 4)),
+                                 "c": r.uniform(-1, 1, (5, 4))},
+         partial(ad.dtam_attention, bias=np.log(r.uniform(0.05, 1.0, (3, 5))), heads=2),
+         ("a", "b", "c")),
     ]
     return [(name, arrays, _probed(op, r, *args)) for name, arrays, op, args in cases]
 

@@ -228,19 +228,23 @@ def test_block_builds_decay_bias_once_for_all_heads(monkeypatch, use_decay, expe
 
 def test_block_heads_match_per_head_dtam_weights():
     d, heads = 8, 4
-    params = block_params(d, 10, seed=5)
     tokens = ad.Tensor(rng.uniform(-1, 1, (6, d)))
     times = np.array([0.6, 0.6, 0.3, 0.3, 0.0, 0.0])
-    record = {}
-    mmhsa_block(tokens, times, DtamConfig(head_count=heads), params, record=record)
-    h = ad.add(ad.linear(tokens, params["att.in_w"], params["att.in_b"]),
-               ad.slice_axis(params["att.pos"], 0, 0, 6))
-    q, k = ad.linear(h, params["att.q_w"]), ad.linear(h, params["att.k_w"])
-    hd = d // heads
-    for i, w in enumerate(record["weights"]):
-        ref = dtam_weights(ad.slice_axis(q, 1, i * hd, (i + 1) * hd),
-                           ad.slice_axis(k, 1, i * hd, (i + 1) * hd), times, times, 0.7)
-        np.testing.assert_array_equal(w, ref.data)
+    trained = block_params(d, 10, seed=5)
+    # detached parameters are what synthesize --dump-attention loads
+    detached = {name: ad.Tensor(t.data) for name, t in trained.items()}
+    for params in (trained, detached):
+        record = {}
+        mmhsa_block(tokens, times, DtamConfig(head_count=heads), params, record=record)
+        h = ad.add(ad.linear(tokens, params["att.in_w"], params["att.in_b"]),
+                   ad.slice_axis(params["att.pos"], 0, 0, 6))
+        q, k = ad.linear(h, params["att.q_w"]), ad.linear(h, params["att.k_w"])
+        hd = d // heads
+        assert len(record["weights"]) == heads
+        for i, w in enumerate(record["weights"]):
+            ref = dtam_weights(ad.slice_axis(q, 1, i * hd, (i + 1) * hd),
+                               ad.slice_axis(k, 1, i * hd, (i + 1) * hd), times, times, 0.7)
+            np.testing.assert_array_equal(w, ref.data)
 
 
 def test_block_gradients_match_finite_differences():

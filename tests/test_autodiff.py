@@ -277,6 +277,67 @@ def test_softmax_bias_must_fit_the_logits():
         ad.softmax_last_axis(ad.Tensor(np.zeros((2, 3))), bias=np.zeros((4, 2, 3)))
 
 
+def per_head_attention(q, k, v, bias, heads):
+    """The head loop dtam_attention replaces: slices, matmuls, softmax, concat."""
+    d = q.shape[1] // heads
+    outs = []
+    for i in range(heads):
+        lo, hi = i * d, (i + 1) * d
+        scores = ad.matmul(ad.slice_axis(q, 1, lo, hi), ad.transpose(ad.slice_axis(k, 1, lo, hi)))
+        outs.append(ad.matmul(ad.softmax_last_axis(scores, bias=bias), ad.slice_axis(v, 1, lo, hi)))
+    return ad.concat(outs, axis=1)
+
+
+@pytest.mark.parametrize("with_bias", [True, False])
+@pytest.mark.parametrize("n, nk, heads", [(6, 6, 4), (5, 9, 2), (7, 3, 1)])
+def test_dtam_attention_equals_per_head_composition(n, nk, heads, with_bias):
+    dim = 4 * heads
+    arrays = {"q": rng.uniform(-2, 2, (n, dim)), "k": rng.uniform(-2, 2, (nk, dim)),
+              "v": rng.uniform(-1, 1, (nk, dim))}
+    bias = np.log(rng.uniform(0.05, 1.0, (n, nk))) if with_bias else None
+    probe = ad.Tensor(rng.uniform(-1, 1, (n, dim)))
+    results = []
+    for op in (ad.dtam_attention, per_head_attention):
+        leaves = {name: ad.Tensor(a, requires_grad=True) for name, a in arrays.items()}
+        out = op(leaves["q"], leaves["k"], leaves["v"], bias, heads)
+        ad.backward(ad.reduce_sum(ad.mul(out, probe)))
+        results.append([out.data] + [leaves[name].grad for name in "qkv"])
+    for fused, looped in zip(*results):
+        np.testing.assert_array_equal(fused, looped)
+
+
+@pytest.mark.parametrize("shapes, heads, bias_shape", [
+    (((4, 8), (5, 8), (5, 8, 1)), 2, None),  # v not 2-D
+    (((4, 8), (5, 6), (5, 8)), 2, None),  # key width differs
+    (((4, 8), (5, 8), (5, 6)), 2, None),  # value width differs
+    (((4, 6), (5, 6), (5, 6)), 4, None),  # width not divisible by heads
+    (((4, 8), (5, 8), (3, 8)), 2, None),  # keys and values differ in rows
+    (((4, 8), (0, 8), (0, 8)), 2, None),  # no keys
+    (((4, 8), (5, 8), (5, 8)), 2, (5, 4)),  # bias transposed
+    (((4, 8), (5, 8), (5, 8)), 2, (5,)),  # bias not (n, nk)
+])
+def test_dtam_attention_rejects_bad_shapes(shapes, heads, bias_shape):
+    q, k, v = (ad.Tensor(np.zeros(s)) for s in shapes)
+    bias = None if bias_shape is None else np.zeros(bias_shape)
+    with pytest.raises(DimensionError):
+        ad.dtam_attention(q, k, v, bias, heads)
+
+
+def test_detached_dtam_attention_holds_one_score_matrix_at_a_time():
+    import tracemalloc
+    n, dim, heads = 771, 64, 4
+    q, k, v = (ad.Tensor(rng.uniform(-1, 1, (n, dim))) for _ in range(3))
+    bias = np.log(rng.uniform(0.05, 1.0, (n, n)))
+    tracemalloc.start()
+    try:
+        out = ad.dtam_attention(q, k, v, bias, heads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n, dim)
+    assert peak < 2 * n * n * 8, f"peak {peak / 2**20:.1f} MiB"
+
+
 # ---------------------------------------------------------------------------
 # finite-difference spot checks (the exhaustive suite lives in acceptance)
 

@@ -125,6 +125,33 @@ def test_checkpoint_without_model_config_is_data_error(workspace, tmp_path, comm
     assert "model config" in capsys.readouterr().err
 
 
+def _drop_q_w(arrays):
+    del arrays["att.q_w"]
+
+
+def _narrow_q_w(arrays):
+    arrays["att.q_w"] = arrays["att.q_w"][:, :32]
+
+
+def _short_img_b(arrays):
+    arrays["dec.img_b"] = arrays["dec.img_b"][:10]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "synthesize"])
+@pytest.mark.parametrize("damage", [_drop_q_w, _narrow_q_w, _short_img_b])
+def test_checkpoint_parameters_must_match_the_model_config(workspace, tmp_path, command,
+                                                          damage, capsys):
+    arrays, meta = load_archive(workspace["checkpoint"])
+    damage(arrays)
+    broken = tmp_path / "broken.ntar"
+    save_archive(broken, arrays, meta=meta)
+    out = tmp_path / "out"
+    assert main([command, "--checkpoint", str(broken),
+                 "--data", str(workspace["data"]), "--out", str(out)]) == DATA_ERROR
+    assert "parameter" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", [None, "3", 2.5])
 def test_synthesize_without_integer_seed_writes_nothing(workspace, tmp_path, seed, capsys):
     arrays, meta = load_archive(workspace["checkpoint"])

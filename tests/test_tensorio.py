@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -91,6 +91,9 @@ def test_archive_bad_magic(tmp_path):
     b"TNSR v1 2 4\n" + bytes(32),  # rank and shape disagree
     b"TNSR v1 x\n",
     b"TNSR\xff v1 0\n" + bytes(8),
+    b"TNSR v1 2 4294967296 4294967296\n",  # shape product wraps to 0 in int64
+    b"TNSR v1 2 0 99999999999999999999\n",  # empty, but too large for NumPy
+    b"TNSR v1 65 " + b"1 " * 65 + b"\n" + bytes(8),  # more axes than NumPy allows
 ])
 def test_malformed_tensor_rejected(blob):
     with pytest.raises(ContractError):
@@ -128,11 +131,67 @@ def test_archive_index_errors_rejected(tmp_path):
         return bad
 
     index = json.loads(blob[16:16 + index_len])
-    index["tensors"][0]["offset"] = len(body)  # tensor past the body
+    past_body = json.loads(blob[16:16 + index_len])
+    past_body["tensors"][0]["offset"] = len(body)
+    infinite = json.dumps(index).replace('"offset": 0', '"offset": 1e999')
+    list_name = json.dumps(index).replace('"name": "b"', '"name": ["b"]')
     for bad_index in (b"{not json", b"\xff\xfe", b"[]", b'{"tensors": [{}]}',
-                      json.dumps(index).encode()):
+                      json.dumps(past_body).encode(), infinite.encode(), list_name.encode()):
         with pytest.raises(ContractError):
             load_archive(with_index(bad_index))
+
+
+# bytes that move a header or index somewhere new: digits, signs, exponents,
+# separators and JSON punctuation, next to arbitrary ones
+_TOKEN_BYTES = st.sampled_from(b"0123456789-+.eE \n\"{}[]:,")
+_MUTATIONS = st.lists(st.tuples(st.sampled_from(["set", "insert", "delete"]),
+                                st.floats(0.0, 1.0, exclude_max=True),
+                                st.one_of(_TOKEN_BYTES, st.integers(0, 255))),
+                      min_size=1, max_size=4)
+
+
+def _mutate(blob, mutations):
+    blob = bytearray(blob)
+    for kind, where, byte in mutations:
+        pos = int(where * (len(blob) + (kind == "insert")))
+        if kind == "insert":
+            blob.insert(pos, byte)
+        elif blob:
+            if kind == "set":
+                blob[pos] = byte
+            else:
+                del blob[pos]
+    return bytes(blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MUTATIONS)
+def test_mutated_tensor_blob_raises_only_contract_error(mutations):
+    blob = _mutate(tensor_bytes(np.arange(6.0).reshape(2, 3)), mutations)
+    try:
+        tensor_from_bytes(blob)
+    except ContractError:
+        pass
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutations=_MUTATIONS)
+def test_mutated_archive_raises_only_contract_error(tmp_path, mutations):
+    blob = archive_bytes(tmp_path)
+    # aim half the edits at the index, where most of the structure lives
+    (index_len,) = struct.unpack("<Q", blob[8:16])
+    head = 16 + index_len
+    if mutations[0][1] < 0.5:
+        blob = _mutate(blob[:head], mutations) + blob[head:]
+    else:
+        blob = _mutate(blob, mutations)
+    path = tmp_path / "fuzzed.ntar"
+    path.write_bytes(blob)
+    try:
+        load_archive(path)
+    except ContractError:
+        pass
 
 
 def test_pgm_header_and_payload(tmp_path):
