@@ -11,13 +11,13 @@ from .model import (ABLATIONS, ModelConfig, PhaseOutput, PredictionBundle,
                     run_autoregressive, synthesize_phase)
 from .phantom import (CaseRecord, LesionSpec, PhantomConfig, enhancement_curve,
                       generate_case, generate_dataset)
-from .tcc import SignalNetConfig, predict_signal, signal_label, tcc_loss
+from .tcc import predict_signal, signal_label, tcc_loss
 from .training import TrainConfig, run_ablation, train
 
 __all__ = [
     "ABLATIONS", "CaseRecord", "ConditionalToken", "DtamConfig", "EncoderConfig",
     "LesionSpec", "LossWeights", "ModelConfig", "PhantomConfig", "PhaseOutput",
-    "PredictionBundle", "SignalNetConfig", "TrainConfig", "adam_step",
+    "PredictionBundle", "TrainConfig", "adam_step",
     "aggregate_segmentation", "autodiff", "build_conditional_token", "cls_loss",
     "dtam_weights", "encode_features", "enhancement_curve", "fuse_and_classify",
     "gaussian_decay", "generate_case", "generate_dataset", "init_params", "lr_at",

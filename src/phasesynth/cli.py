@@ -129,9 +129,7 @@ def cmd_synthesize(args):
     started = _now()
     from .metrics import load_checkpoint
     params, cfg, meta = load_checkpoint(args.checkpoint)
-    manifest = load_manifest(args.data)
-    if manifest["config"]["image_size"] != cfg.image_size:
-        raise ConfigError("checkpoint and dataset image sizes differ")
+    manifest = load_manifest(args.data, cfg.image_size)
     seed = meta["config"].get("seed")
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ContractError(f"{args.checkpoint}: checkpoint config has no integer seed")
@@ -159,7 +157,7 @@ def cmd_synthesize(args):
                 "class_probs": bundle.class_probs.data.tolist(),
                 "predicted": int(np.argmax(bundle.class_probs.data)),
                 "per_phase_cls": [p.item() for p in bundle.per_phase_cls],
-                "signals": [s.item() for s in bundle.signals],
+                "signals": bundle.signals,
                 "signal_labels": bundle.signal_labels,
             }, f, indent=1, sort_keys=True)
         outputs.append(cls_path)

@@ -197,11 +197,7 @@ def _finite_mean(values):
 def evaluate(checkpoint_path, data_dir, split="test", out_path=None):
     """Run the model over one split and assemble a MetricsReport."""
     params, cfg, meta = load_checkpoint(checkpoint_path)
-    manifest = load_manifest(data_dir)
-    if manifest["config"]["image_size"] != cfg.image_size:
-        raise ConfigError(
-            f"checkpoint image size {cfg.image_size} does not match dataset "
-            f"{manifest['config']['image_size']}")
+    manifest = load_manifest(data_dir, cfg.image_size)
     ablation = meta["config"].get("ablation", "full")
     entries = [e for e in manifest["cases"] if e["split"] == split]
     if not entries:
@@ -241,7 +237,7 @@ def evaluate(checkpoint_path, data_dir, split="test", out_path=None):
                 "asd": None if empty else a,
                 "empty_mask": empty,
             },
-            "signals": [s.item() for s in bundle.signals],
+            "signals": bundle.signals,
             "signal_labels": bundle.signal_labels,
             "per_phase_cls": [p.item() for p in bundle.per_phase_cls],
         })

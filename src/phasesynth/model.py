@@ -18,11 +18,9 @@ import numpy as np
 from . import autodiff as ad
 from . import tcc as tcc_mod
 from .attention import DtamConfig, mmhsa_block
-from .encoder import (EncoderConfig, build_conditional_token, encode_features,
-                      time_encoding)
+from .encoder import EncoderConfig, build_conditional_token, encode_features
 from .errors import ContractError
 from .phantom import PHASE_NAMES
-from .tcc import SignalNetConfig
 
 # ablation -> (gaussian decay, phase token, time token, TCC participates)
 ABLATIONS = {
@@ -39,13 +37,11 @@ class ModelConfig:
     image_size: int = 64
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     dtam: DtamConfig = field(default_factory=DtamConfig)
-    signal: SignalNetConfig = field(default_factory=SignalNetConfig)
     omega: float = math.pi
 
     def validate(self):
         self.encoder.validate(self.image_size)
         self.dtam.validate(self.encoder.embed_dim)
-        self.signal.validate()
 
     def echo(self):
         return {
@@ -55,9 +51,6 @@ class ModelConfig:
             "depth": self.encoder.depth,
             "sigma": self.dtam.sigma,
             "head_count": self.dtam.head_count,
-            "latent_width": self.signal.latent_width,
-            "hidden": list(self.signal.hidden),
-            "tau": self.signal.tau,
             "omega": self.omega,
         }
 
@@ -67,7 +60,6 @@ class ModelConfig:
             image_size=int(d["image_size"]),
             encoder=EncoderConfig(int(d["patch_size"]), int(d["embed_dim"]), int(d["depth"])),
             dtam=DtamConfig(float(d["sigma"]), int(d["head_count"])),
-            signal=SignalNetConfig(int(d["latent_width"]), tuple(d["hidden"]), float(d["tau"])),
             omega=float(d["omega"]),
         )
 
@@ -85,7 +77,7 @@ class PredictionBundle:
     aggregated_mask: np.ndarray
     class_probs: ad.Tensor  # (2,) softmax over {benign, malignant}
     per_phase_cls: list  # 3 scalar Tensors
-    signals: list  # 3 scalar Tensors
+    signals: list  # 3 floats, detached
     signal_labels: list  # 3 ints, detached
 
 
@@ -129,8 +121,6 @@ def init_params(cfg, rng):
     d = cfg.encoder.embed_dim
     p2 = cfg.encoder.patch_size ** 2
     n = cfg.encoder.token_count(cfg.image_size)
-    c = cfg.signal.latent_width
-    h1, h2, _ = cfg.signal.hidden
     head_dim = d // cfg.dtam.head_count
     half = d // 2
     mq = d // 4
@@ -217,15 +207,9 @@ def init_params(cfg, rng):
         "cls.fuse_b": np.zeros(2),
         "cls.aux_w": np.zeros((d, 1)),
         "cls.aux_b": np.zeros(1),
-        "tcc.latent_w": normal((d, c), 1.0 / math.sqrt(d)),
-        "tcc.latent_b": np.zeros(c),
-        "tcc.fc1_w": normal((c + 2, h1), 1.0 / math.sqrt(c + 2)),
-        "tcc.fc1_b": np.zeros(h1),
-        "tcc.fc2_w": normal((h1, h2), 1.0 / math.sqrt(h1)),
-        "tcc.fc2_b": np.zeros(h2),
-        "tcc.fc3_w": normal((h2, 1), 1.0 / math.sqrt(h2)),
-        "tcc.fc3_b": np.zeros(1),
     }
+    # unused draws, as many as the TCC signal network once took, keep enc.mix* init bit-identical
+    rng.normal(size=256 * d + 41_280)
     for s in range(cfg.encoder.depth):
         arrays[f"enc.mix{s}_w"] = normal((d, d), 0.02)
         arrays[f"enc.mix{s}_b"] = np.zeros(d)
@@ -328,12 +312,9 @@ def run_autoregressive(ncmri, mask, times, params, cfg, ablation="full", record=
     aggregated = aggregate_segmentation(*[po.seg_logits for po in phase_outputs])
     class_probs, per_phase = fuse_and_classify(pooled, phase_outputs, params)
 
-    latent = ad.linear(pooled, params["tcc.latent_w"], params["tcc.latent_b"])
-    signals = [
-        tcc_mod.predict_signal(latent, time_encoding(t, cfg.omega), cfg.signal, params)
-        for t in times
-    ]
-    labels = [tcc_mod.signal_label(s, cfg.signal.tau) for s in signals]
+    signals = [tcc_mod.predict_signal(po.image.data, ncmri, mask) for po in phase_outputs]
+    threshold = tcc_mod.TAU * max(signals)
+    labels = [tcc_mod.signal_label(s, threshold) for s in signals]
 
     return PredictionBundle(
         phase_outputs=phase_outputs,

@@ -14,11 +14,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DomainError, GenerationError
+from .errors import ConfigError, ContractError, DomainError, GenerationError
 from .tensorio import load_tensor, save_tensor
 
 PHASE_NAMES = ("art", "pv", "delay")
@@ -26,6 +26,7 @@ PHASE_NAMES = ("art", "pv", "delay")
 # delayed-phase time; per-case times are drawn around these (sample_times)
 DEFAULT_TIMES = (0.1, 0.25, 1.0)
 PARENCHYMA_RATE = 0.25
+SPLITS = ("train", "val", "test")
 
 CASE_FILES = ("ncmri.t", "mask.t", "phase_art.t", "phase_pv.t", "phase_delay.t")
 
@@ -96,8 +97,20 @@ class PhantomConfig:
 
     @classmethod
     def from_dict(cls, d):
-        cfg = cls(**{k: v for k, v in d.items() if k in cls.__dataclass_fields__})
-        cfg.times = tuple(cfg.times)
+        """Known fields, cast to their default's type; tuples keep its length."""
+        if not isinstance(d, dict):
+            raise ConfigError("phantom config must be a JSON object")
+        cfg = cls()
+        for key in (k for k in cls.__dataclass_fields__ if k in d):
+            default = getattr(cfg, key)
+            try:
+                value = (tuple(map(float, d[key])) if isinstance(default, tuple)
+                         else type(default)(d[key]))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"phantom config {key!r}: {exc}") from None
+            if isinstance(default, tuple) and len(value) != len(default):
+                raise ConfigError(f"phantom config {key!r} needs {len(default)} values")
+            setattr(cfg, key, value)
         return cfg
 
 
@@ -114,6 +127,10 @@ def enhancement_curve(class_label, t, peak_time=DEFAULT_TIMES[0]):
     return 1.0 - math.exp(-3.0 * t)
 
 
+def _increasing_unit_times(times):
+    return all(0.0 < t <= 1.0 for t in times) and list(times) == sorted(set(times))
+
+
 def sample_times(base, jitter, rng):
     """Per-case acquisition times in disjoint windows around nominal ones.
 
@@ -122,7 +139,7 @@ def sample_times(base, jitter, rng):
     strictly increasing in (0,1] for any strictly increasing base.
     """
     base = tuple(base)
-    if not all(0.0 < t <= 1.0 for t in base) or list(base) != sorted(set(base)):
+    if not _increasing_unit_times(base):
         raise GenerationError("times must be strictly increasing in (0,1]")
     if jitter == 0.0:
         return base
@@ -158,7 +175,7 @@ def _ellipse_mask(size, center, radii):
 def generate_case(spec, times, seed, image_size=64, background=(0.35, 0.55)):
     spec.validate(image_size)
     times = tuple(times)
-    if not all(0.0 < t <= 1.0 for t in times) or list(times) != sorted(set(times)):
+    if not _increasing_unit_times(times):
         raise GenerationError("times must be strictly increasing in (0,1]")
     rng = np.random.default_rng(seed)
     mask = _ellipse_mask(image_size, spec.center, spec.radii)
@@ -268,7 +285,7 @@ def generate_dataset(cfg, out_dir, workers=1):
 
     manifest = {
         "schema_version": 1,
-        "config": _config_echo(cfg),
+        "config": asdict(cfg),
         "cases": cases,
     }
     manifest_path = os.path.join(out_dir, "manifest.json")
@@ -277,28 +294,43 @@ def generate_dataset(cfg, out_dir, workers=1):
     return manifest_path
 
 
-def _config_echo(cfg):
-    echo = asdict(cfg)
-    for k, v in echo.items():
-        if isinstance(v, tuple):
-            echo[k] = list(v)
-    return echo
+def _check(ok, path, problem):
+    if not ok:
+        raise ContractError(f"{path}: {problem}")
 
 
-def load_manifest(data_dir):
-    with open(os.path.join(data_dir, "manifest.json")) as f:
-        return json.load(f)
+def load_manifest(data_dir, image_size=None):
+    """The manifest, format-checked; ConfigError if ``image_size`` is given and differs."""
+    path = os.path.join(data_dir, "manifest.json")
+    with open(path) as f:
+        m = json.load(f)
+    _check(isinstance(m, dict) and isinstance(m.get("config"), dict)
+           and type(m["config"].get("image_size")) is int and isinstance(m.get("cases"), list)
+           and all(isinstance(e, dict) and isinstance(e.get("id"), str)
+                   and isinstance(e.get("path"), str) and e.get("split") in SPLITS
+                   for e in m["cases"]),
+           path, "manifest needs an integer config.image_size and a cases list of "
+           f"entries with a string id and path and a split in {SPLITS}")
+    if image_size is not None and m["config"]["image_size"] != image_size:
+        raise ConfigError(f"model image size {image_size} does not match dataset "
+                          f"{m['config']['image_size']}")
+    return m
 
 
 def load_case(data_dir, entry):
+    """One case; its meta and images are checked against the generator's format."""
     case_dir = os.path.join(data_dir, entry["path"])
-    with open(os.path.join(case_dir, "meta.json")) as f:
+    meta_path = os.path.join(case_dir, "meta.json")
+    with open(meta_path) as f:
         meta = json.load(f)
-    return CaseRecord(
-        ncmri=load_tensor(os.path.join(case_dir, "ncmri.t")),
-        tumor_mask=load_tensor(os.path.join(case_dir, "mask.t")),
-        phases=[load_tensor(os.path.join(case_dir, f"phase_{n}.t")) for n in PHASE_NAMES],
-        times=tuple(meta["times"]),
-        class_label=int(meta["label"]),
-        seed=int(meta["seed"]),
-    )
+    times = meta.get("times") if isinstance(meta, dict) else None
+    _check(isinstance(times, list) and len(times) == len(PHASE_NAMES)
+           and all(type(t) in (int, float) for t in times) and _increasing_unit_times(times)
+           and meta.get("label") in (0, 1) and type(meta["label"]) is int
+           and type(meta.get("seed")) is int,
+           meta_path, "meta needs 3 strictly increasing times in (0,1], "
+           "a 0 or 1 label and an integer seed")
+    images = [load_tensor(os.path.join(case_dir, name)) for name in CASE_FILES]
+    _check(len({a.shape for a in images}) == 1 and images[0].ndim == 2,
+           case_dir, "images differ in shape or are not 2-D")
+    return CaseRecord(images[0], images[1], images[2:], tuple(times), meta["label"], meta["seed"])

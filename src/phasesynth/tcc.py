@@ -1,50 +1,37 @@
 """Temporal classification consistency.
 
-A small fully connected network predicts the lesion enhancement signal
-from the pooled non-contrast latent and the time encoding of each phase.
-Thresholding that signal yields a per-phase binary label; the
-consistency loss pulls the per-phase image-based classification
-probabilities toward those (detached) labels.
+The signal of a phase is the mean in-lesion enhancement of the generated
+image over the non-contrast input. A phase is labelled 1 when its signal
+exceeds ``TAU`` times the case's largest signal, so wash-in and washout
+(malignant on the phantom) label the arterial phase 1 and the delayed
+phase 0, and progressive fill (benign) the other way round. The
+consistency loss pulls the per-phase classification probabilities toward
+those detached labels; nothing here has parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, ContractError
+from .errors import ContractError
+
+# fraction of the case's peak signal a phase must exceed to be labelled 1
+TAU = 0.5
 
 
-@dataclass
-class SignalNetConfig:
-    latent_width: int = 256
-    hidden: tuple = (128, 64, 1)
-    tau: float = 0.5
-
-    def validate(self):
-        if not 0.0 < self.tau < 1.0:
-            raise ConfigError("tau must lie in (0,1)")
-        if self.hidden[-1] != 1:
-            raise ConfigError("signal network must end in a scalar output")
-
-
-def predict_signal(latent, t_enc, cfg, params):
-    """Scalar enhancement signal in [0,1] for one phase.
-
-    latent: (C,) pooled non-contrast feature; t_enc: (2,) unit-norm time
-    encoding.
-    """
-    if latent.shape != (cfg.latent_width,):
-        raise ContractError(f"latent width {latent.shape} != ({cfg.latent_width},)")
-    x = ad.concat([latent, ad.as_tensor(t_enc)], axis=0)
-    x = ad.relu(ad.linear(x, params["tcc.fc1_w"], params["tcc.fc1_b"]))
-    x = ad.relu(ad.linear(x, params["tcc.fc2_w"], params["tcc.fc2_b"]))
-    x = ad.linear(x, params["tcc.fc3_w"], params["tcc.fc3_b"])
-    return ad.reshape(ad.sigmoid(x), ())
+def predict_signal(image, ncmri, mask):
+    """Mean of ``image - ncmri`` over the (H, W) lesion pixels ``mask > 0.5``; 0.0 if none."""
+    if not np.shape(image) == np.shape(ncmri) == np.shape(mask):
+        raise ContractError("image, ncmri and mask differ in shape")
+    lesion = mask > 0.5
+    if not lesion.any():
+        return 0.0
+    return float(np.mean(image[lesion] - ncmri[lesion]))
 
 
 def signal_label(signal, tau):
-    """1 iff the predicted signal strictly exceeds tau. No gradient flows."""
+    """1 iff the signal strictly exceeds tau. No gradient flows."""
     value = signal.item() if isinstance(signal, ad.Tensor) else float(signal)
     return 1 if value > tau else 0
 

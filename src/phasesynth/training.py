@@ -62,14 +62,18 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ConfigError("train config must be a JSON object")
         cfg = cls()
-        for key in ("epochs", "batch_size", "base_lr", "warmup_epochs", "seed", "ablation"):
-            if key in d:
-                setattr(cfg, key, type(getattr(cfg, key))(d[key]))
-        if "weights" in d:
-            cfg.weights = LossWeights(**d["weights"])
-        if "model" in d:
-            cfg.model = ModelConfig.from_echo({**cfg.model.echo(), **d["model"]})
+        casts = {k: type(getattr(cfg, k)) for k in
+                 ("epochs", "batch_size", "base_lr", "warmup_epochs", "seed", "ablation")}
+        casts["weights"] = lambda w: LossWeights(**{k: float(v) for k, v in w.items()})
+        casts["model"] = lambda m: ModelConfig.from_echo({**cfg.model.echo(), **m})
+        for key in (k for k in casts if k in d):
+            try:
+                setattr(cfg, key, casts[key](d[key]))
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ConfigError(f"train config {key!r}: {exc}") from None
         return cfg
 
 
@@ -88,17 +92,19 @@ def case_losses(case, params, cfg, ablation, weights):
     l_cls = cls_loss(bundle.class_probs, case.class_label)
     tcc_on = ABLATIONS[ablation][3]
     l_tcc = tcc_loss(bundle.per_phase_cls, bundle.signal_labels) if tcc_on else ad.Tensor(0.0)
-    effective = weights if tcc_on else LossWeights(weights.dice, weights.ce, weights.cls, 0.0)
-    l_total = total_loss(l_syn, l_seg, l_cls, l_tcc, effective)
+    l_total = total_loss(l_syn, l_seg, l_cls, l_tcc, weights)
     return bundle, {"syn": l_syn, "seg": l_seg, "cls": l_cls, "tcc": l_tcc, "total": l_total}
 
 
 def _validation_pass(cases, params, cfg, ablation, weights):
+    """Validation metrics; ``val_loss`` leaves out ``l_tcc``, which trains
+    only the auxiliary head and feeds no image, mask or class output."""
     params = {name: ad.Tensor(t.data) for name, t in params.items()}  # no tape
     psnrs, dices, correct, losses = [], [], 0, []
     for case in cases:
         bundle, parts = case_losses(case, params, cfg, ablation, weights)
-        losses.append(parts["total"].item())
+        losses.append(parts["syn"].item() + parts["seg"].item()
+                      + weights.cls * parts["cls"].item())
         psnrs.append(np.mean([psnr_metric(po.image.data, gt)
                               for po, gt in zip(bundle.phase_outputs, case.phases)]))
         dices.append(dice_metric(bundle.aggregated_mask, case.tumor_mask.astype(np.uint8)))
@@ -118,9 +124,7 @@ def train(cfg, data_dir, out_dir, log_hook=None):
     bit-identical checkpoints and logs.
     """
     cfg.validate()
-    manifest = load_manifest(data_dir)
-    if manifest["config"]["image_size"] != cfg.model.image_size:
-        raise ConfigError("model image_size does not match dataset")
+    manifest = load_manifest(data_dir, cfg.model.image_size)
     by_split = {"train": [], "val": [], "test": []}
     for entry in manifest["cases"]:
         by_split[entry["split"]].append(entry)

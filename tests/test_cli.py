@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -51,6 +52,30 @@ def test_generate_invalid_config_is_usage_error(tmp_path):
     bad.write_text(json.dumps({"case_count": 1}))
     assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "d")]) \
         == USAGE_ERROR
+
+
+@pytest.mark.parametrize("config", [{"times": 5}, {"times": [0.1, 0.5]},
+                                    {"image_size": "x"}, {"radius": None}, [PHANTOM_CFG]])
+def test_generate_malformed_config_is_data_error(tmp_path, config, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    out = tmp_path / "d"
+    assert main(["generate", "--config", str(bad), "--out", str(out)]) == DATA_ERROR
+    assert "phantom config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [{"weights": {"foo": 1}}, {"weights": [1]},
+                                    {"epochs": "abc"}, {"batch_size": None},
+                                    {"model": {"image_size": "x"}}, [TRAIN_CFG]])
+def test_train_malformed_config_is_data_error(workspace, tmp_path, config, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(bad), "--data", str(workspace["data"]),
+                 "--out", str(out)]) == DATA_ERROR
+    assert "train config" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_artifacts(workspace):
@@ -150,6 +175,66 @@ def test_checkpoint_parameters_must_match_the_model_config(workspace, tmp_path, 
                  "--data", str(workspace["data"]), "--out", str(out)]) == DATA_ERROR
     assert "parameter" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "synthesize"])
+def test_checkpoint_with_tcc_signal_network_is_data_error(workspace, tmp_path, command,
+                                                          capsys):
+    # a checkpoint from before the TCC signal became parameter-free
+    arrays, meta = load_archive(workspace["checkpoint"])
+    arrays.update({"tcc.latent_w": np.zeros((64, 256)), "tcc.fc3_b": np.zeros(1)})
+    meta["config"]["model"].update({"latent_width": 256, "hidden": [128, 64, 1],
+                                    "tau": 0.5})
+    old = tmp_path / "old.ntar"
+    save_archive(old, arrays, meta=meta)
+    out = tmp_path / "out"
+    assert main([command, "--checkpoint", str(old),
+                 "--data", str(workspace["data"]), "--out", str(out)]) == DATA_ERROR
+    err = capsys.readouterr().err
+    assert "tcc.latent_w" in err and "tcc.fc3_b" in err
+    assert not out.exists()
+
+
+def _manifest_without_cases(data):
+    manifest = json.loads((data / "manifest.json").read_text())
+    del manifest["cases"]
+    (data / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _manifest_without_image_size(data):
+    manifest = json.loads((data / "manifest.json").read_text())
+    del manifest["config"]["image_size"]
+    (data / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _val_meta_edit(edit):
+    def damage(data):
+        manifest = json.loads((data / "manifest.json").read_text())
+        entry = next(e for e in manifest["cases"] if e["split"] == "val")
+        path = data / entry["path"] / "meta.json"
+        meta = json.loads(path.read_text())
+        edit(meta)
+        path.write_text(json.dumps(meta))
+    return damage
+
+
+@pytest.mark.parametrize("damage", [
+    _manifest_without_cases,
+    _manifest_without_image_size,
+    _val_meta_edit(lambda m: m.pop("times")),
+    _val_meta_edit(lambda m: m.update(times=m["times"][:2])),
+    _val_meta_edit(lambda m: m.update(times=m["times"][:2] + [1.5])),
+    _val_meta_edit(lambda m: m.update(label="x")),
+], ids=["no_cases", "no_image_size", "no_times", "two_times", "time_1.5", "label_x"])
+def test_evaluate_malformed_dataset_is_data_error(workspace, tmp_path, damage, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    damage(data)
+    report = tmp_path / "r.json"
+    assert main(["evaluate", "--checkpoint", str(workspace["checkpoint"]),
+                 "--data", str(data), "--split", "val", "--out", str(report)]) == DATA_ERROR
+    assert "error:" in capsys.readouterr().err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("seed", [None, "3", 2.5])

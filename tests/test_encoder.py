@@ -23,8 +23,6 @@ def small_model():
     cfg = ModelConfig(image_size=16,
                       encoder=EncoderConfig(patch_size=8, embed_dim=16, depth=1))
     cfg.dtam.head_count = 4
-    cfg.signal.latent_width = 32
-    cfg.signal.hidden = (16, 8, 1)
     params = init_params(cfg, np.random.default_rng(0))
     return cfg, params
 
@@ -103,8 +101,6 @@ def test_patch_permutation_equivariance_depth_zero():
     """With no mixing stages the encoder is a per-patch map."""
     cfg = ModelConfig(image_size=16,
                       encoder=EncoderConfig(patch_size=8, embed_dim=16, depth=0))
-    cfg.signal.latent_width = 32
-    cfg.signal.hidden = (16, 8, 1)
     params = init_params(cfg, np.random.default_rng(0))
     img = rng.uniform(0, 1, (16, 16))
     mask = (rng.uniform(0, 1, (16, 16)) > 0.8).astype(float)

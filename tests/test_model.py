@@ -19,8 +19,6 @@ rng = np.random.default_rng(3)
 def small_setup(seed=0):
     cfg = ModelConfig(image_size=16,
                       encoder=EncoderConfig(patch_size=8, embed_dim=16, depth=1))
-    cfg.signal.latent_width = 32
-    cfg.signal.hidden = (16, 8, 1)
     params = init_params(cfg, np.random.default_rng(seed))
     return cfg, params
 
@@ -197,13 +195,28 @@ def test_fused_width_is_four_d():
 
 
 def test_signals_and_labels_emitted():
+    from phasesynth.tcc import TAU
+
     cfg, params = small_setup()
     img, mask = random_case()
     bundle = run_autoregressive(img, mask, DEFAULT_TIMES, params, cfg)
-    assert len(bundle.signals) == 3
-    assert all(0.0 <= s.item() <= 1.0 for s in bundle.signals)
-    assert all(lab in (0, 1) for lab in bundle.signal_labels)
+    lesion = mask > 0.5
+    # each signal is the in-lesion enhancement of that phase's generated image
+    assert bundle.signals == [float(np.mean(po.image.data[lesion] - img[lesion]))
+                              for po in bundle.phase_outputs]
+    assert all(type(s) is float for s in bundle.signals)
+    threshold = TAU * max(bundle.signals)
+    assert bundle.signal_labels == [int(s > threshold) for s in bundle.signals]
     assert len(bundle.per_phase_cls) == 3
+
+
+def test_default_model_parameter_count():
+    params = init_params(ModelConfig(), np.random.default_rng(0))
+    assert len(params) == 27
+    assert sum(p.data.size for p in params.values()) == 71_299
+    assert not any(name.startswith("tcc.") for name in params)
+    assert set(ModelConfig().echo()) == {"image_size", "patch_size", "embed_dim", "depth",
+                                         "sigma", "head_count", "omega"}
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +278,6 @@ def test_end_to_end_gradient_sampled_parameters():
     img, mask = random_case()
     gt_phases = [np.clip(img + 0.05 * (i + 1), 0, 1) for i in range(3)]
     weights = LossWeights()
-    # tcc.fc* is absent on purpose: the signal net only feeds the detached
-    # threshold labels, so no gradient reaches it by design
     names = ("enc.patch_w", "att.q_w", "dec.img_w", "cls.fuse_w", "att.out_w")
     arrays = {n: params[n].data.copy() for n in names}
 
@@ -283,12 +294,8 @@ def test_end_to_end_gradient_sampled_parameters():
     check_gradients(build, arrays, sample=25)
 
 
-# parameters the full model cannot train yet: the TCC signal network only
-# feeds the detached threshold labels, so no gradient reaches it
-FROZEN_UNTIL_TCC_FIX = {
-    "tcc.latent_w", "tcc.latent_b", "tcc.fc1_w", "tcc.fc1_b",
-    "tcc.fc2_w", "tcc.fc2_b", "tcc.fc3_w", "tcc.fc3_b",
-}
+# parameters the full model cannot train: none
+FROZEN_UNTIL_TCC_FIX = set()
 
 
 def default_training_case():

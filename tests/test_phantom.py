@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasesynth.errors import DomainError, GenerationError
+from phasesynth.errors import ContractError, DomainError, GenerationError
 from phasesynth.phantom import (DEFAULT_TIMES, PARENCHYMA_RATE, CaseRecord,
                                 LesionSpec, PhantomConfig, assign_splits,
                                 enhancement_curve, generate_case,
                                 generate_dataset, load_case, load_manifest)
+from phasesynth.tensorio import save_tensor
 
 
 def make_spec(**kw):
@@ -268,3 +269,29 @@ def test_sample_times_rejects_bad_base():
 def test_time_jitter_config_validation():
     with pytest.raises(GenerationError):
         PhantomConfig(time_jitter=1.5).validate()
+
+
+# ---------------------------------------------------------------------------
+# config and dataset format checks
+
+
+def test_config_from_manifest_echo_round_trip(tmp_path):
+    cfg = PhantomConfig(case_count=4, master_seed=3, split_fractions=(0.5, 0.25, 0.25))
+    generate_dataset(cfg, str(tmp_path))
+    assert PhantomConfig.from_dict(load_manifest(str(tmp_path))["config"]) == cfg
+
+
+def test_load_case_rejects_images_of_different_shapes(tmp_path):
+    cfg = PhantomConfig(case_count=2, master_seed=3, split_fractions=(0.5, 0.5, 0.0))
+    generate_dataset(cfg, str(tmp_path))
+    entry = load_manifest(str(tmp_path))["cases"][0]
+    save_tensor(str(tmp_path / entry["path"] / "mask.t"), np.zeros((32, 32)))
+    with pytest.raises(ContractError):
+        load_case(str(tmp_path), entry)
+
+
+def test_load_manifest_rejects_unknown_split(tmp_path):
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"config": {"image_size": 64}, "cases": [{"id": "a", "path": "a", "split": "dev"}]}))
+    with pytest.raises(ContractError):
+        load_manifest(str(tmp_path))

@@ -1,88 +1,64 @@
-"""Signal predictor, threshold labeling, and the consistency loss."""
+"""Lesion-enhancement signal, threshold labeling, and the consistency loss."""
 
 import numpy as np
 import pytest
 
-from conftest import check_gradients
 from phasesynth import autodiff as ad
-from phasesynth.encoder import time_encoding
-from phasesynth.errors import ConfigError, ContractError
-from phasesynth.tcc import SignalNetConfig, predict_signal, signal_label, tcc_loss
+from phasesynth.errors import ContractError
+from phasesynth.phantom import PhantomConfig, generate_dataset, load_case, load_manifest
+from phasesynth.tcc import TAU, predict_signal, signal_label, tcc_loss
 
 rng = np.random.default_rng(4)
 
 
-def net_params(cfg, seed=0, zero=False):
-    r = np.random.default_rng(seed)
-    c = cfg.latent_width
-    h1, h2, _ = cfg.hidden
-
-    def w(shape):
-        return np.zeros(shape) if zero else r.normal(0, 0.3, shape)
-
-    return {
-        "tcc.fc1_w": ad.Tensor(w((c + 2, h1)), requires_grad=True),
-        "tcc.fc1_b": ad.Tensor(np.zeros(h1), requires_grad=True),
-        "tcc.fc2_w": ad.Tensor(w((h1, h2)), requires_grad=True),
-        "tcc.fc2_b": ad.Tensor(np.zeros(h2), requires_grad=True),
-        "tcc.fc3_w": ad.Tensor(w((h2, 1)), requires_grad=True),
-        "tcc.fc3_b": ad.Tensor(np.zeros(1), requires_grad=True),
-    }
-
-
 def test_config_defaults():
-    cfg = SignalNetConfig()
-    assert cfg.latent_width == 256
-    assert cfg.hidden == (128, 64, 1)
-    assert cfg.tau == 0.5
+    # a phase is labelled 1 above half of the case's peak signal
+    assert TAU == 0.5
 
 
-def test_config_validation():
-    with pytest.raises(ConfigError):
-        SignalNetConfig(tau=1.0).validate()
-    with pytest.raises(ConfigError):
-        SignalNetConfig(hidden=(8, 4, 2)).validate()
+def test_signal_hand_oracle():
+    ncmri = np.full((4, 4), 0.2)
+    image = ncmri + 0.9  # outside the lesion: ignored
+    mask = np.zeros((4, 4))
+    mask[1, 1], image[1, 1] = 1.0, 0.3
+    mask[2, 3], image[2, 3] = 0.6, 0.5
+    mask[0, 0], image[0, 0] = 0.5, 0.0  # not above 0.5: not lesion
+    assert predict_signal(image, ncmri, mask) == pytest.approx((0.1 + 0.3) / 2, abs=1e-15)
 
 
-def test_zeroed_network_gives_half():
-    cfg = SignalNetConfig(latent_width=16, hidden=(8, 4, 1))
-    params = net_params(cfg, zero=True)
-    latent = ad.Tensor(rng.uniform(-1, 1, 16))
-    s = predict_signal(latent, time_encoding(0.25), cfg, params)
-    assert s.item() == 0.5
+def test_empty_mask_gives_zero():
+    image = rng.uniform(0, 1, (8, 8))
+    assert predict_signal(image, image * 0.5, np.zeros((8, 8))) == 0.0
+    assert predict_signal(image, image * 0.5, np.full((8, 8), 0.5)) == 0.0
 
 
 def test_signal_bounded_and_deterministic():
-    cfg = SignalNetConfig(latent_width=16, hidden=(8, 4, 1))
-    params = net_params(cfg)
-    latent = ad.Tensor(rng.uniform(-3, 3, 16))
-    a = predict_signal(latent, time_encoding(0.1), cfg, params)
-    b = predict_signal(latent, time_encoding(0.1), cfg, params)
-    assert 0.0 <= a.item() <= 1.0
-    assert a.item() == b.item()
+    for _ in range(50):
+        image, ncmri = rng.uniform(0, 1, (2, 8, 8))
+        mask = (rng.uniform(0, 1, (8, 8)) > 0.5).astype(float)
+        a = predict_signal(image, ncmri, mask)
+        assert type(a) is float
+        assert -1.0 <= a <= 1.0
+        assert a == predict_signal(image.copy(), ncmri.copy(), mask.copy())
 
 
-def test_latent_width_contract():
-    cfg = SignalNetConfig(latent_width=16, hidden=(8, 4, 1))
+def test_signal_shape_contract():
     with pytest.raises(ContractError):
-        predict_signal(ad.Tensor(np.zeros(9)), time_encoding(0.1), cfg,
-                       net_params(cfg))
+        predict_signal(np.zeros((8, 8)), np.zeros((8, 8)), np.zeros((4, 4)))
+    with pytest.raises(ContractError):
+        predict_signal(np.zeros((8, 8)), np.zeros((8, 9)), np.zeros((8, 8)))
 
 
-def test_signal_gradients_match_finite_differences():
-    cfg = SignalNetConfig(latent_width=8, hidden=(6, 4, 1))
-    template = net_params(cfg, seed=2)
-    latent = rng.uniform(-1, 1, 8)
-    t_enc = time_encoding(0.25)
-    names = ("tcc.fc1_w", "tcc.fc2_w", "tcc.fc3_w", "tcc.fc1_b")
-    arrays = {n: template[n].data.copy() for n in names}
-
-    def build(t):
-        p = dict(template)
-        p.update({n: t[n] for n in names})
-        return predict_signal(ad.Tensor(latent), t_enc, cfg, p)
-
-    check_gradients(build, arrays)
+def test_phantom_labels_follow_class_at_art_and_delay(tmp_path):
+    # malignant lesions peak early and wash out, benign ones fill slowly:
+    # labels from the true phases are [1, ., 0] and [0, ., 1]
+    generate_dataset(PhantomConfig(case_count=40, master_seed=11), str(tmp_path))
+    for entry in load_manifest(str(tmp_path))["cases"]:
+        case = load_case(str(tmp_path), entry)
+        signals = [predict_signal(p, case.ncmri, case.tumor_mask) for p in case.phases]
+        labels = [signal_label(s, TAU * max(signals)) for s in signals]
+        assert labels[0] == case.class_label, (entry["id"], signals)
+        assert labels[2] == 1 - case.class_label, (entry["id"], signals)
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,21 @@ def test_case_losses_parts_are_finite(tiny_dataset):
         assert np.isfinite(part.item()), name
 
 
+def test_val_loss_leaves_out_tcc(tiny_dataset):
+    from phasesynth.model import ModelConfig, init_params
+    from phasesynth.training import _validation_pass
+
+    case = load_case(tiny_dataset, load_manifest(tiny_dataset)["cases"][0])
+    cfg = ModelConfig()
+    params = init_params(cfg, np.random.default_rng(0))
+    weights = LossWeights(cls=2.0, tcc=5.0)
+    stats = _validation_pass([case], params, cfg, "full", weights)
+    _, parts = case_losses(case, params, cfg, "full", weights)
+    assert parts["tcc"].item() > 0.0
+    assert stats["val_loss"] == (parts["syn"].item() + parts["seg"].item()
+                                 + 2.0 * parts["cls"].item())
+
+
 def test_image_size_mismatch_rejected(tiny_dataset, tmp_path):
     cfg = TrainConfig(epochs=1, warmup_epochs=0)
     cfg.model.image_size = 32
