@@ -20,7 +20,7 @@ from . import tcc as tcc_mod
 from .attention import DtamConfig, mmhsa_block
 from .encoder import EncoderConfig, build_conditional_token, encode_features
 from .errors import ContractError
-from .phantom import PHASE_NAMES
+from .phantom import PHASE_NAMES, integral
 
 # ablation -> (gaussian decay, phase token, time token, TCC participates)
 ABLATIONS = {
@@ -57,9 +57,10 @@ class ModelConfig:
     @classmethod
     def from_echo(cls, d):
         return cls(
-            image_size=int(d["image_size"]),
-            encoder=EncoderConfig(int(d["patch_size"]), int(d["embed_dim"]), int(d["depth"])),
-            dtam=DtamConfig(float(d["sigma"]), int(d["head_count"])),
+            image_size=integral(d["image_size"]),
+            encoder=EncoderConfig(integral(d["patch_size"]), integral(d["embed_dim"]),
+                                  integral(d["depth"])),
+            dtam=DtamConfig(float(d["sigma"]), integral(d["head_count"])),
             omega=float(d["omega"]),
         )
 
@@ -96,6 +97,28 @@ def _group_average_map(n_in, n_out):
     for j in range(n_out):
         p[j * m:(j + 1) * m, j] = 1.0 / m
     return p
+
+
+def param_shapes(cfg):
+    """{name: shape} of the parameters ``init_params(cfg, rng)`` makes, drawing nothing."""
+    cfg.validate()
+    d = cfg.encoder.embed_dim
+    p2 = cfg.encoder.patch_size ** 2
+    n = cfg.encoder.token_count(cfg.image_size)
+    shapes = {
+        "enc.patch_w": (3 * p2, d), "enc.patch_b": (d,),
+        "enc.proj_w": (d, d), "enc.proj_b": (d,),
+        "enc.phase_table": (3, d), "enc.fuse_w": (d + 2, d), "enc.fuse_b": (d,),
+        "att.in_w": (d, d), "att.in_b": (d,), "att.pos": (3 * (n + 1), d),
+        "att.q_w": (d, d), "att.k_w": (d, d), "att.v_w": (d, d),
+        "att.out_w": (d, d), "att.out_b": (d,),
+        "dec.img_w": (d, p2), "dec.img_b": (p2,), "dec.seg_w": (d, p2), "dec.seg_b": (p2,),
+        "cls.fuse_w": (4 * d, 2), "cls.fuse_b": (2,), "cls.aux_w": (d, 1), "cls.aux_b": (1,),
+    }
+    for s in range(cfg.encoder.depth):
+        shapes[f"enc.mix{s}_w"] = (d, d)
+        shapes[f"enc.mix{s}_b"] = (d,)
+    return shapes
 
 
 def init_params(cfg, rng):

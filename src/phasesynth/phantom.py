@@ -97,21 +97,38 @@ class PhantomConfig:
 
     @classmethod
     def from_dict(cls, d):
-        """Known fields, cast to their default's type; tuples keep its length."""
+        """Known fields, cast to their default's type; tuples keep its length,
+        integer fields take only whole numbers, and an unknown key is an error."""
         if not isinstance(d, dict):
             raise ConfigError("phantom config must be a JSON object")
         cfg = cls()
-        for key in (k for k in cls.__dataclass_fields__ if k in d):
+        for key, raw in d.items():
+            if key not in cls.__dataclass_fields__:
+                raise ConfigError(f"phantom config {key!r}: unknown key")
             default = getattr(cfg, key)
             try:
-                value = (tuple(map(float, d[key])) if isinstance(default, tuple)
-                         else type(default)(d[key]))
+                if isinstance(default, tuple):
+                    value = tuple(map(float, raw))
+                elif isinstance(default, int):
+                    value = integral(raw)
+                else:
+                    value = type(default)(raw)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"phantom config {key!r}: {exc}") from None
             if isinstance(default, tuple) and len(value) != len(default):
                 raise ConfigError(f"phantom config {key!r} needs {len(default)} values")
             setattr(cfg, key, value)
         return cfg
+
+
+def integral(value):
+    """``value`` as an int; ValueError unless it is a whole number (64.0 passes,
+    64.7, "64" and True do not), so a config value is never silently truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{value!r} is not an integer")
 
 
 def enhancement_curve(class_label, t, peak_time=DEFAULT_TIMES[0]):

@@ -17,7 +17,7 @@ from .metrics import dice as dice_metric
 from .metrics import evaluate
 from .metrics import psnr as psnr_metric
 from .model import ABLATIONS, ModelConfig, init_params, run_autoregressive
-from .phantom import load_case, load_manifest
+from .phantom import integral, load_case, load_manifest
 from .tcc import tcc_loss
 from .tensorio import save_archive
 
@@ -62,19 +62,32 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
+        """The fields ``echo`` writes; integer fields take only whole numbers,
+        and an unknown key, here or in ``model``, is an error."""
         if not isinstance(d, dict):
             raise ConfigError("train config must be a JSON object")
         cfg = cls()
-        casts = {k: type(getattr(cfg, k)) for k in
-                 ("epochs", "batch_size", "base_lr", "warmup_epochs", "seed", "ablation")}
-        casts["weights"] = lambda w: LossWeights(**{k: float(v) for k, v in w.items()})
-        casts["model"] = lambda m: ModelConfig.from_echo({**cfg.model.echo(), **m})
-        for key in (k for k in casts if k in d):
+        casts = {"epochs": integral, "batch_size": integral, "base_lr": float,
+                 "warmup_epochs": integral, "seed": integral, "ablation": str,
+                 "weights": lambda w: LossWeights(**{k: float(v) for k, v in w.items()}),
+                 "model": lambda m: _model_config(cfg.model, m)}
+        for key, raw in d.items():
+            if key not in casts:
+                raise ConfigError(f"train config {key!r}: unknown key")
             try:
-                setattr(cfg, key, casts[key](d[key]))
+                setattr(cfg, key, casts[key](raw))
             except (AttributeError, TypeError, ValueError) as exc:
                 raise ConfigError(f"train config {key!r}: {exc}") from None
         return cfg
+
+
+def _model_config(default, m):
+    """ModelConfig from ``default`` updated by the entries of ``m``, all of them known."""
+    echo = default.echo()
+    unknown = sorted(m.keys() - echo.keys())
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}")
+    return ModelConfig.from_echo({**echo, **m})
 
 
 def manifest_hash(data_dir):

@@ -3,10 +3,13 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import phasesynth
 from phasesynth.cli import DATA_ERROR, USAGE_ERROR, main
 from phasesynth.tensorio import load_archive, save_archive
 
@@ -55,7 +58,8 @@ def test_generate_invalid_config_is_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize("config", [{"times": 5}, {"times": [0.1, 0.5]},
-                                    {"image_size": "x"}, {"radius": None}, [PHANTOM_CFG]])
+                                    {"image_size": "x"}, {"radius": None}, [PHANTOM_CFG],
+                                    {"case_cnt": 10}, {"image_size": 64.7}])
 def test_generate_malformed_config_is_data_error(tmp_path, config, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(config))
@@ -67,7 +71,10 @@ def test_generate_malformed_config_is_data_error(tmp_path, config, capsys):
 
 @pytest.mark.parametrize("config", [{"weights": {"foo": 1}}, {"weights": [1]},
                                     {"epochs": "abc"}, {"batch_size": None},
-                                    {"model": {"image_size": "x"}}, [TRAIN_CFG]])
+                                    {"model": {"image_size": "x"}}, [TRAIN_CFG],
+                                    {"epoch": 5}, {"batch_size": 2.9},
+                                    {"model": {"embed_dims": 32}},
+                                    {"model": {"image_size": 64.5}}])
 def test_train_malformed_config_is_data_error(workspace, tmp_path, config, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(config))
@@ -251,6 +258,28 @@ def test_synthesize_without_integer_seed_writes_nothing(workspace, tmp_path, see
                  "--data", str(workspace["data"]), "--out", str(out)]) == DATA_ERROR
     assert "seed" in capsys.readouterr().err
     assert not out.exists() or not list(out.glob("*.pgm"))
+
+
+SCORING_IMPORTS = """
+import json, sys
+from phasesynth import cli, metrics
+data, checkpoint, out = sys.argv[1:]
+metrics.evaluate(checkpoint, data, out_path=out + "/report.json")
+assert cli.main(["synthesize", "--checkpoint", checkpoint, "--data", data,
+                 "--out", out + "/synth"]) == 0
+print(json.dumps(sorted(m for m in ("numpy.random", "numpy.ma") if m in sys.modules)))
+"""
+
+
+def test_evaluate_and_synthesize_import_neither_numpy_random_nor_ma(workspace, tmp_path):
+    # a fresh interpreter: generating and training, done above, import numpy.random
+    src = os.path.dirname(os.path.dirname(phasesynth.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCORING_IMPORTS, str(workspace["data"]),
+         str(workspace["checkpoint"]), str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_synthesize_emits_five_files_per_case(workspace, tmp_path):

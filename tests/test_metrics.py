@@ -1,10 +1,12 @@
 """Evaluation metrics against brute-force and closed-form references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from phasesynth.errors import ContractError
-from phasesynth.metrics import (asd, boundary_pixels, classification_metrics,
+from phasesynth.metrics import (_percentile95, asd, boundary_pixels, classification_metrics,
                                 dice, hd95, iou, mse, psnr, ssim)
 
 rng = np.random.default_rng(6)
@@ -54,6 +56,20 @@ def brute_distance_set(p, q):
     d_pq = [min(np.hypot(a[0] - b[0], a[1] - b[1]) for b in bq) for a in bp]
     d_qp = [min(np.hypot(a[0] - b[0], a[1] - b[1]) for a in bp) for b in bq]
     return np.array(d_pq + d_qp)
+
+
+def brute_ssim(a, b):
+    """Mean over every 8x8 window (stride 1) of SSIM with centred population moments."""
+    c1, c2 = 0.01 ** 2, 0.03 ** 2
+    scores = []
+    for i in range(a.shape[0] - 7):
+        for j in range(a.shape[1] - 7):
+            wa, wb = a[i:i + 8, j:j + 8], b[i:i + 8, j:j + 8]
+            ma, mb = wa.mean(), wb.mean()
+            cov = ((wa - ma) * (wb - mb)).mean()
+            scores.append(((2 * ma * mb + c1) * (2 * cov + c2))
+                          / ((ma * ma + mb * mb + c1) * (wa.var() + wb.var() + c2)))
+    return float(np.mean(scores))
 
 
 def random_mask(shape, fill, seed):
@@ -115,6 +131,26 @@ def test_ssim_single_window_closed_form():
     expect = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
         (mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2))
     assert ssim(a, b) == pytest.approx(expect, abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (128, 128), (20, 33), (8, 8)])
+def test_ssim_matches_per_window_loop(shape):
+    r = np.random.default_rng(shape[0] * 1000 + shape[1])
+    a = r.uniform(0, 1, shape)
+    for b in (np.clip(a + r.normal(0, 0.2, shape), 0, 1), r.uniform(0, 1, shape)):
+        assert abs(ssim(a, b) - brute_ssim(a, b)) <= 1e-13
+
+
+def test_ssim_peak_memory_is_a_few_images():
+    a = rng.uniform(0, 1, (128, 128))
+    b = rng.uniform(0, 1, (128, 128))
+    tracemalloc.start()
+    try:
+        ssim(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * a.nbytes
 
 
 def test_ssim_too_small_rejected():
@@ -212,6 +248,15 @@ def test_distances_brute_force_oracle():
         assert hd95(p, q) == pytest.approx(np.percentile(ref, 95), abs=1e-9)
         assert asd(p, q) == pytest.approx(ref.mean(), abs=1e-9)
     assert checked > 100
+
+
+def test_percentile95_is_bitwise_np_percentile():
+    r = np.random.default_rng(11)
+    for trial in range(2000):
+        n = int(r.integers(1, 301))
+        # integer squares under the root repeat, so the sets have ties
+        d = np.sqrt(r.integers(0, 50 if trial % 2 else 5000, n).astype(np.float64))
+        assert _percentile95(d) == np.percentile(d, 95.0)
 
 
 def test_distance_symmetry():

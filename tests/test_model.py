@@ -9,7 +9,7 @@ from phasesynth import attention
 from phasesynth.encoder import EncoderConfig, build_conditional_token, encode_features
 from phasesynth.errors import ContractError
 from phasesynth.model import (ABLATIONS, ModelConfig, aggregate_segmentation,
-                              fuse_and_classify, init_params,
+                              fuse_and_classify, init_params, param_shapes,
                               run_autoregressive, synthesize_phase)
 from phasesynth.phantom import DEFAULT_TIMES
 
@@ -217,6 +217,14 @@ def test_default_model_parameter_count():
     assert not any(name.startswith("tcc.") for name in params)
     assert set(ModelConfig().echo()) == {"image_size", "patch_size", "embed_dim", "depth",
                                          "sigma", "head_count", "omega"}
+
+
+@pytest.mark.parametrize("cfg", [
+    ModelConfig(), ModelConfig(image_size=128), small_setup()[0],
+    ModelConfig(image_size=16, encoder=EncoderConfig(patch_size=8, embed_dim=16, depth=0))])
+def test_param_shapes_match_init_params(cfg):
+    params = init_params(cfg, np.random.default_rng(0))
+    assert param_shapes(cfg) == {name: p.shape for name, p in params.items()}
 
 
 # ---------------------------------------------------------------------------
