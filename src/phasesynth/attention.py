@@ -86,7 +86,8 @@ def mmhsa_block(tokens, token_times, cfg, params, use_decay=True, record=None):
 
     h = ad.linear(tokens, params["att.in_w"], params["att.in_b"])
     # absolute sequence positions: the current block always occupies the
-    # leading slots, so later rows tag progressively older retained blocks
+    # leading slots, and the rows after it tag the prior blocks in time
+    # order, arterial first
     pos = ad.slice_axis(params["att.pos"], 0, 0, n)
     h = ad.add(h, pos)
 

@@ -16,10 +16,25 @@ Broadcasting is limited to leading-axis expansion: two operands are
 compatible when their shapes are equal or one shape is a suffix of the
 other (a scalar broadcasts against anything).
 
-Multi-head attention is one node, ``dtam_attention``, with a backward
-written by hand and batched over heads. It keeps every head's weights
-only when an input requires a gradient or the caller asks for them;
-without a tape the heads share one reused score buffer.
+Fused nodes keep the training tape short; each does in one node what a
+composition of the ops above did, with the same float operations in the
+same order in the forward:
+
+- ``linear``: ``x @ w (+ b)`` for a 1-D or 2-D x, one adjoint each for
+  x, w and b;
+- ``rearrange``: reshape, transpose, reshape (the model's depatchify);
+- ``node``: any op whose backward is written by hand; the losses use it
+  for ``syn_loss`` and ``seg_loss``;
+- ``dtam_attention``: multi-head attention, with a backward batched over
+  heads. It keeps every head's weights only when an input requires a
+  gradient or the caller asks for them; without a tape the heads share
+  one reused score buffer.
+
+Live rows: ``dtam_attention``'s backward works on the query rows up to
+the last one whose adjoint is not all zero. A later row adds exactly
+zero to every gradient, so cutting it changes the gradients only by
+rounding. The model keeps only the current block's rows of the output,
+so the rows of the prior blocks are cut.
 """
 
 from __future__ import annotations
@@ -68,6 +83,22 @@ def _result(data, parents, backward_fn):
 
 def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def node(data, parents, adjoints):
+    """One node with a backward written by hand, for a fused composite op.
+
+    ``adjoints(g)`` maps the output's adjoint ``g`` to an iterable of one
+    adjoint per parent, in order; parents without a gradient drop theirs.
+    """
+    parents = tuple(parents)
+
+    def backward(out):
+        for p, g in zip(parents, adjoints(out.grad)):
+            if p.requires_grad:
+                p._accumulate(g)
+
+    return _result(data, parents, backward)
 
 
 def _broadcast_shape(sa, sb):
@@ -421,31 +452,77 @@ def dtam_attention(q, k, v, bias, heads, weights_out=None):
         weights_out.extend(w)
 
     def backward(out):
-        g = _split_heads(out.grad, heads)
+        # live rows: a query row after the last one with a nonzero adjoint
+        # adds exactly zero to every gradient, so only the first r count
+        live = np.flatnonzero(out.grad.any(axis=1))
+        r = int(live[-1]) + 1 if live.size else 0
+        g = _split_heads(out.grad[:r], heads)
+        wr = w[:, :r]
         if v.requires_grad:
-            v._accumulate(_merge_heads(np.matmul(w.transpose(0, 2, 1), g)))
+            v._accumulate(_merge_heads(np.matmul(wr.transpose(0, 2, 1), g)))
         if not (q.requires_grad or k.requires_grad):
             return
         # softmax backward w * (dw - sum(w * dw)), formed in dw's buffer
         s = np.matmul(g, vh.transpose(0, 2, 1))
-        s -= (w * s).sum(axis=-1, keepdims=True)
-        s *= w
+        s -= (wr * s).sum(axis=-1, keepdims=True)
+        s *= wr
         if q.requires_grad:
-            q._accumulate(_merge_heads(np.matmul(s, kh)))
+            dq = np.zeros((n, dim))
+            dq[:r] = _merge_heads(np.matmul(s, kh))
+            q._accumulate(dq)
         if k.requires_grad:
-            k._accumulate(_merge_heads(np.matmul(qh.transpose(0, 2, 1), s).transpose(0, 2, 1)))
+            dk = np.matmul(qh[:, :r].transpose(0, 2, 1), s)
+            k._accumulate(_merge_heads(dk.transpose(0, 2, 1)))
 
     return _result(_merge_heads(z), (q, k, v), backward)
 
 
 def linear(x, w, b=None):
-    """x @ w (+ b). Accepts a 1-D or 2-D x; w is (in, out)."""
-    x = as_tensor(x)
+    """x @ w (+ b) as one node. Accepts a 1-D or 2-D x; w is (in, out).
+
+    The forward does what a matmul node and an add node did, in the same
+    order (a 1-D x is multiplied as one row), and the backward gives x, w
+    and b one adjoint each; b's sums the rows, as ``_unbroadcast`` does.
+    """
+    x, w = as_tensor(x), as_tensor(w)
+    if x.data.ndim not in (1, 2) or w.data.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise DimensionError(f"linear shapes incompatible: {x.shape} x {w.shape}")
+    x2 = x.data.reshape(1, -1) if x.data.ndim == 1 else x.data
+    y = x2 @ w.data
     if x.data.ndim == 1:
-        y = reshape(matmul(reshape(x, (1, -1)), w), (w.shape[1],))
-    else:
-        y = matmul(x, w)
-    return add(y, b) if b is not None else y
+        y = y.reshape(w.shape[1])
+    parents = (x, w)
+    if b is not None:
+        b = as_tensor(b)
+        _broadcast_shape(y.shape, b.shape)
+        y = y + b.data
+        parents = (x, w, b)
+
+    def backward(out):
+        g = out.grad
+        g2 = g.reshape(1, -1) if g.ndim == 1 else g
+        if x.requires_grad:
+            x._accumulate((g2 @ w.data.T).reshape(x.shape))
+        if w.requires_grad:
+            w._accumulate(x2.T @ g2)
+        if b is not None and b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.shape))
+
+    return _result(y, parents, backward)
+
+
+def rearrange(a, split, axes, shape):
+    """``a.reshape(split).transpose(axes).reshape(shape)`` as one node."""
+    a = as_tensor(a)
+    old = a.shape
+    inv = np.argsort(axes)
+    moved = tuple(split[i] for i in axes)
+
+    def backward(out):
+        if a.requires_grad:
+            a._accumulate(out.grad.reshape(moved).transpose(inv).reshape(old))
+
+    return _result(a.data.reshape(split).transpose(axes).reshape(shape), (a,), backward)
 
 
 def embedding_lookup(table, index):

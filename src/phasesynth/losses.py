@@ -27,52 +27,87 @@ class LossWeights:
 
 
 def syn_loss(pred_images, gt_images):
-    """Sum over phases of the mean absolute pixel error."""
+    """Sum over phases of the mean absolute pixel error, as one node.
+
+    The adjoint of each prediction is sign(pred - gt) * g / pixels.
+    """
     if len(pred_images) != len(gt_images):
         raise ContractError("phase count mismatch")
-    total = ad.Tensor(0.0)
-    for pred, gt in zip(pred_images, gt_images):
+    preds = [ad.as_tensor(p) for p in pred_images]
+    diffs = []
+    total = np.float64(0.0)
+    for pred, gt in zip(preds, gt_images):
         gt = np.asarray(gt, dtype=np.float64)
         if pred.shape != gt.shape:
             raise ContractError(f"image shape mismatch: {pred.shape} vs {gt.shape}")
-        total = ad.add(total, ad.reduce_mean(ad.abs_val(ad.sub(pred, ad.Tensor(gt)))))
-    return total
+        d = pred.data - gt
+        total = total + np.abs(d).mean()
+        diffs.append(d)
+
+    def adjoints(g):
+        for d in diffs:
+            yield (g / d.size) * np.sign(d)
+
+    return ad.node(total, preds, adjoints)
 
 
-def _bce(probs, target):
-    p = ad.clip_min(probs, PROB_CLAMP)
-    q = ad.clip_min(ad.sub(ad.Tensor(np.ones_like(target)), probs), PROB_CLAMP)
-    pos = ad.mul(ad.Tensor(target), ad.log(p))
-    neg = ad.mul(ad.Tensor(1.0 - target), ad.log(q))
-    return ad.scale(ad.reduce_mean(ad.add(pos, neg)), -1.0)
+def _dice_bce(logits, target, t_sum, weights):
+    """One phase's weighted soft Dice + BCE on sigmoid(logits), and a function
+    of the term's adjoint that returns the logits' adjoint."""
+    y = 1.0 / (1.0 + np.exp(-logits))
+    num = (y * target).sum() * 2.0 + DICE_EPS
+    den = (y.sum() + t_sum) + DICE_EPS
+    keep_p = y > PROB_CLAMP
+    p = np.where(keep_p, y, PROB_CLAMP)
+    q = 1.0 - y
+    keep_q = q > PROB_CLAMP
+    q = np.where(keep_q, q, PROB_CLAMP)
+    bce = (target * np.log(p) + (1.0 - target) * np.log(q)).mean() * -1.0
+    term = (1.0 - num / den) * weights.dice + bce * weights.ce
 
+    def adjoint(g):
+        # the float operations, in the order the node-by-node graph ran them
+        g_num = -(g * weights.dice) / den
+        g_den = (g * weights.dice) * num / (den * den)
+        g_ce = (g * weights.ce * -1.0) / y.size
+        dy = g_num * 2.0 * target + g_den
+        dy = dy + (g_ce * target / p) * keep_p
+        dy = dy - (g_ce * (1.0 - target) / q) * keep_q
+        return dy * y * (1.0 - y)
 
-def _soft_dice(probs, target):
-    inter = ad.reduce_sum(ad.mul(probs, ad.Tensor(target)))
-    denom = ad.add(ad.reduce_sum(probs), ad.Tensor(float(target.sum())))
-    overlap = ad.div(ad.add(ad.scale(inter, 2.0), ad.Tensor(DICE_EPS)),
-                     ad.add(denom, ad.Tensor(DICE_EPS)))
-    return ad.sub(ad.Tensor(1.0), overlap)
+    return term, adjoint
 
 
 def seg_loss(seg_logits_per_phase, gt_mask, weights):
-    """Soft Dice + pixel BCE on each phase's logits, averaged over phases.
+    """Soft Dice + pixel BCE on each phase's logits, averaged over phases,
+    as one node.
 
     The majority vote is not differentiable, so supervision applies to
-    the per-phase maps against the shared ground-truth mask.
+    the per-phase maps against the shared ground-truth mask. Dice is
+    1 - (2 sum(y t) + eps) / (sum(y) + sum(t) + eps) and BCE the mean of
+    -(t log y + (1 - t) log(1 - y)), with y = sigmoid(logits) and both
+    logs' arguments clamped below at PROB_CLAMP (no gradient below it).
     """
     gt = np.asarray(gt_mask, dtype=np.float64)
     if not np.all((gt == 0) | (gt == 1)):
         raise ContractError("segmentation ground truth must be binary")
-    total = ad.Tensor(0.0)
-    for logits in seg_logits_per_phase:
-        if logits.shape != gt.shape:
-            raise ContractError(f"mask shape mismatch: {logits.shape} vs {gt.shape}")
-        probs = ad.sigmoid(logits)
-        term = ad.add(ad.scale(_soft_dice(probs, gt), weights.dice),
-                      ad.scale(_bce(probs, gt), weights.ce))
-        total = ad.add(total, term)
-    return ad.scale(total, 1.0 / len(seg_logits_per_phase))
+    logits = [ad.as_tensor(t) for t in seg_logits_per_phase]
+    t_sum = float(gt.sum())
+    total = np.float64(0.0)
+    backs = []
+    for t in logits:
+        if t.shape != gt.shape:
+            raise ContractError(f"mask shape mismatch: {t.shape} vs {gt.shape}")
+        term, adjoint = _dice_bce(t.data, gt, t_sum, weights)
+        total = total + term
+        backs.append(adjoint)
+    scale = 1.0 / len(logits)
+
+    def adjoints(g):
+        for adjoint in backs:
+            yield adjoint(g * scale)
+
+    return ad.node(total * scale, logits, adjoints)
 
 
 def cls_loss(class_probs, label):

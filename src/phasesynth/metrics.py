@@ -44,7 +44,7 @@ def psnr(a, b):
 def _psnr_of_mse(err):
     if err <= 0.0:
         return PSNR_CAP
-    return min(PSNR_CAP, 10.0 * np.log10(1.0 / err))
+    return float(min(PSNR_CAP, 10.0 * np.log10(1.0 / err)))
 
 
 def ssim(a, b):

@@ -241,9 +241,8 @@ def init_params(cfg, rng):
 
 def _depatchify(tokens, grid, patch):
     """(N, patch^2) token maps -> (H, W) image, inverse of patch flattening."""
-    x = ad.reshape(tokens, (grid, grid, patch, patch))
-    x = ad.transpose(x, (0, 2, 1, 3))
-    return ad.reshape(x, (grid * patch, grid * patch))
+    return ad.rearrange(tokens, (grid, grid, patch, patch), (0, 2, 1, 3),
+                        (grid * patch, grid * patch))
 
 
 def synthesize_phase(index, cond, prior_blocks, cfg, params, use_decay=True, record=None):

@@ -11,6 +11,7 @@ cue (in the non-contrast image) carry the label.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -169,24 +170,36 @@ def sample_times(base, jitter, rng):
     return tuple(times)
 
 
-def _smooth_field(rng, size, lo, hi, coarse=8):
-    """Low-frequency random field: bilinear upsample of a coarse grid."""
-    grid = rng.uniform(lo, hi, size=(coarse, coarse))
+@functools.lru_cache(maxsize=None)
+def _bilinear_plan(size, coarse):
+    """Flat gather indices and weight matrices of the four corners of a
+    bilinear upsample from a coarse x coarse grid to size x size; built
+    once per pair and returned read-only, since every caller shares them."""
     src = np.linspace(0.0, coarse - 1.0, size)
     i0 = np.floor(src).astype(int)
     i1 = np.minimum(i0 + 1, coarse - 1)
     frac = src - i0
-    rows = grid[i0][:, i0] * np.outer(1 - frac, 1 - frac) \
-        + grid[i0][:, i1] * np.outer(1 - frac, frac) \
-        + grid[i1][:, i0] * np.outer(frac, 1 - frac) \
-        + grid[i1][:, i1] * np.outer(frac, frac)
-    return rows
+    plan = (i0[:, None] * coarse + i0, i0[:, None] * coarse + i1,
+            i1[:, None] * coarse + i0, i1[:, None] * coarse + i1,
+            np.outer(1 - frac, 1 - frac), np.outer(1 - frac, frac),
+            np.outer(frac, 1 - frac), np.outer(frac, frac))
+    for a in plan:
+        a.flags.writeable = False
+    return plan
+
+
+def _smooth_field(rng, size, lo, hi, coarse=8):
+    """Low-frequency random field: bilinear upsample of a coarse grid."""
+    grid = rng.uniform(lo, hi, size=(coarse, coarse))
+    g00, g01, g10, g11, w00, w01, w10, w11 = _bilinear_plan(size, coarse)
+    return (grid.take(g00) * w00 + grid.take(g01) * w01
+            + grid.take(g10) * w10 + grid.take(g11) * w11)
 
 
 def _ellipse_mask(size, center, radii):
     r = np.arange(size)
-    rr, cc = np.meshgrid(r, r, indexing="ij")
-    return (((rr - center[0]) / radii[0]) ** 2 + ((cc - center[1]) / radii[1]) ** 2) <= 1.0
+    return (((r[:, None] - center[0]) / radii[0]) ** 2
+            + ((r[None, :] - center[1]) / radii[1]) ** 2) <= 1.0
 
 
 def generate_case(spec, times, seed, image_size=64, background=(0.35, 0.55)):
@@ -197,15 +210,15 @@ def generate_case(spec, times, seed, image_size=64, background=(0.35, 0.55)):
     rng = np.random.default_rng(seed)
     mask = _ellipse_mask(image_size, spec.center, spec.radii)
     ncmri = _smooth_field(rng, image_size, background[0], background[1])
-    ncmri[mask] = spec.base_intensity
-    ncmri = np.clip(ncmri, 0.0, 1.0)
+    ncmri = np.clip(np.where(mask, spec.base_intensity, ncmri), 0.0, 1.0)
 
     peak = times[0]
     phases = []
     for t in times:
-        img = ncmri.copy()
-        img[mask] += spec.amplitude * enhancement_curve(spec.class_label, t, peak_time=peak)
-        img[~mask] += PARENCHYMA_RATE * t
+        # one addition per pixel: the lesion's enhancement or the parenchyma's
+        img = ncmri + np.where(
+            mask, spec.amplitude * enhancement_curve(spec.class_label, t, peak_time=peak),
+            PARENCHYMA_RATE * t)
         if spec.noise_sigma > 0:
             img += rng.normal(0.0, spec.noise_sigma, img.shape)
         phases.append(np.clip(img, 0.0, 1.0))

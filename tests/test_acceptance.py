@@ -26,10 +26,11 @@ from conftest import FD_RTOL, FD_STEP, check_gradients, numeric_grad_at
 from phasesynth import autodiff as ad
 from phasesynth.attention import DtamConfig, dtam_weights, mmhsa_block
 from phasesynth.encoder import EncoderConfig, build_conditional_token, encode_features
-from phasesynth.losses import LossWeights
+from phasesynth.losses import LossWeights, seg_loss, syn_loss
 from phasesynth.metrics import (asd, dice, evaluate, hd95, iou, load_checkpoint,
                                 mse, psnr, ssim)
-from phasesynth.model import ModelConfig, init_params, run_autoregressive, synthesize_phase
+from phasesynth.model import (ModelConfig, _depatchify, init_params, run_autoregressive,
+                              synthesize_phase)
 from phasesynth.phantom import PhantomConfig, generate_dataset, load_case, load_manifest
 from phasesynth.tcc import TAU, tcc_loss
 from phasesynth.training import ABLATION_ORDER, TrainConfig, train
@@ -128,6 +129,9 @@ def _op_cases(r):
         return r.uniform(0.1, 1.0, shape) * r.choice([-1.0, 1.0], shape)
 
     a34 = lambda: r.uniform(-1, 1, (3, 4))
+    syn_a, syn_b = a34(), a34()
+    syn_gts = [syn_a - away_from_zero((3, 4)), syn_b - away_from_zero((3, 4))]
+    seg_gt = (r.uniform(0, 1, (3, 4)) > 0.5).astype(float)
     cases = [
         ("add", {"a": a34(), "b": r.uniform(-1, 1, 4)}, ad.add, ("a", "b")),
         ("sub", {"a": a34(), "b": a34()}, ad.sub, ("a", "b")),
@@ -152,6 +156,17 @@ def _op_cases(r):
         ("softmax", {"a": 2 * a34()}, ad.softmax_last_axis, ("a",)),
         ("linear", {"a": a34(), "b": r.uniform(-1, 1, (4, 2))},
          lambda x, w: ad.linear(x, w), ("a", "b")),
+        ("linear_bias", {"a": a34(), "b": r.uniform(-1, 1, (4, 2)), "c": r.uniform(-1, 1, 2)},
+         ad.linear, ("a", "b", "c")),
+        ("linear_bias_1d", {"a": r.uniform(-1, 1, 4), "b": r.uniform(-1, 1, (4, 2)),
+                            "c": r.uniform(-1, 1, 2)},
+         ad.linear, ("a", "b", "c")),
+        ("depatchify", {"a": r.uniform(-1, 1, (4, 4))},
+         lambda x: _depatchify(x, 2, 2), ("a",)),
+        ("syn_loss", {"a": syn_a, "b": syn_b},
+         lambda x, y: syn_loss([x, y], syn_gts), ("a", "b")),
+        ("seg_loss", {"a": 3 * a34(), "b": 3 * a34()},
+         lambda x, y: seg_loss([x, y], seg_gt, LossWeights(dice=0.7, ce=1.3)), ("a", "b")),
         ("embedding_lookup", {"a": r.uniform(-1, 1, (5, 3))},
          lambda x: ad.embedding_lookup(x, 2), ("a",)),
         ("dtam_attention", {"a": a34(), "b": r.uniform(-1, 1, (5, 4)),

@@ -368,3 +368,154 @@ def test_gradients_slice_concat_reshape():
         return ad.reduce_mean(ad.mul(joined, joined))
 
     check_gradients(build, arrays)
+
+
+# ---------------------------------------------------------------------------
+# fused nodes against the compositions they replace
+
+
+def linear_composition(x, w, b=None):
+    """The matmul (+ reshapes) and add nodes one ``linear`` node replaces."""
+    if x.data.ndim == 1:
+        y = ad.reshape(ad.matmul(ad.reshape(x, (1, -1)), w), (w.shape[1],))
+    else:
+        y = ad.matmul(x, w)
+    return ad.add(y, b) if b is not None else y
+
+
+def run_both(fused, composed, arrays):
+    """Forward values and leaf gradients of both builders under one probe."""
+    results = []
+    probe = None
+    for op in (fused, composed):
+        leaves = {name: ad.Tensor(a, requires_grad=True) for name, a in arrays.items()}
+        out = op(leaves)
+        if probe is None:
+            probe = ad.Tensor(rng.uniform(-1, 1, out.shape))
+        ad.backward(ad.reduce_sum(ad.mul(out, probe)))
+        results.append([out.data] + [leaves[name].grad for name in sorted(arrays)])
+    return results
+
+
+@pytest.mark.parametrize("x_shape", [(5,), (3, 5)])
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_linear_is_one_node_equal_to_the_composition(x_shape, with_bias):
+    arrays = {"x": rng.uniform(-1, 1, x_shape), "w": rng.uniform(-1, 1, (5, 4))}
+    if with_bias:
+        arrays["b"] = rng.uniform(-1, 1, 4)
+
+    def build(op):
+        return lambda t: op(t["x"], t["w"], t.get("b"))
+
+    fused, composed = run_both(build(ad.linear), build(linear_composition), arrays)
+    for a, b in zip(fused, composed):
+        np.testing.assert_array_equal(a, b)
+    leaves = [ad.Tensor(a, requires_grad=True) for a in arrays.values()]
+    assert ad.linear(*leaves)._parents == tuple(leaves)
+
+
+def test_linear_rejects_bad_shapes():
+    with pytest.raises(DimensionError):
+        ad.linear(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((4, 2))))
+    with pytest.raises(DimensionError):
+        ad.linear(ad.Tensor(np.zeros((2, 2, 3))), ad.Tensor(np.zeros((3, 2))))
+    with pytest.raises(DimensionError):
+        ad.linear(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 2))),
+                  ad.Tensor(np.zeros(3)))
+
+
+def test_rearrange_is_one_node_equal_to_reshape_transpose_reshape():
+    split, axes, shape = (2, 3, 4, 5), (0, 2, 1, 3), (8, 15)
+
+    def composed(t):
+        return ad.reshape(ad.transpose(ad.reshape(t["x"], split), axes), shape)
+
+    arrays = {"x": rng.uniform(-1, 1, (6, 20))}
+    fused, composed = run_both(lambda t: ad.rearrange(t["x"], split, axes, shape),
+                               composed, arrays)
+    for a, b in zip(fused, composed):
+        np.testing.assert_array_equal(a, b)
+
+
+def syn_loss_composition(preds, gts):
+    """The sub, abs, mean and add nodes of ``syn_loss`` before it was fused."""
+    total = ad.Tensor(0.0)
+    for pred, gt in zip(preds, gts):
+        total = ad.add(total, ad.reduce_mean(ad.abs_val(ad.sub(pred, ad.Tensor(gt)))))
+    return total
+
+
+def seg_loss_composition(logits_per_phase, gt, weights, eps=1e-6, clamp=1e-7):
+    """Sigmoid, soft Dice and BCE node by node, as ``seg_loss`` was before it was fused."""
+    total = ad.Tensor(0.0)
+    for logits in logits_per_phase:
+        probs = ad.sigmoid(logits)
+        inter = ad.reduce_sum(ad.mul(probs, ad.Tensor(gt)))
+        denom = ad.add(ad.reduce_sum(probs), ad.Tensor(float(gt.sum())))
+        overlap = ad.div(ad.add(ad.scale(inter, 2.0), ad.Tensor(eps)),
+                         ad.add(denom, ad.Tensor(eps)))
+        dice = ad.sub(ad.Tensor(1.0), overlap)
+        p = ad.clip_min(probs, clamp)
+        q = ad.clip_min(ad.sub(ad.Tensor(np.ones_like(gt)), probs), clamp)
+        pos = ad.mul(ad.Tensor(gt), ad.log(p))
+        neg = ad.mul(ad.Tensor(1.0 - gt), ad.log(q))
+        bce = ad.scale(ad.reduce_mean(ad.add(pos, neg)), -1.0)
+        total = ad.add(total, ad.add(ad.scale(dice, weights.dice), ad.scale(bce, weights.ce)))
+    return ad.scale(total, 1.0 / len(logits_per_phase))
+
+
+def test_syn_loss_is_one_node_equal_to_the_composition():
+    from phasesynth.losses import syn_loss
+    arrays = {name: rng.uniform(0, 1, (6, 6)) for name in ("a", "b", "c")}
+    gts = [rng.uniform(0, 1, (6, 6)) for _ in range(3)]
+    fused, composed = run_both(lambda t: syn_loss([t["a"], t["b"], t["c"]], gts),
+                               lambda t: syn_loss_composition([t["a"], t["b"], t["c"]], gts),
+                               arrays)
+    for a, b in zip(fused, composed):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("dice_w, ce_w", [(1.0, 1.0), (0.7, 1.3), (0.0, 2.0)])
+def test_seg_loss_is_one_node_equal_to_the_composition(dice_w, ce_w):
+    from phasesynth.losses import LossWeights, seg_loss
+    weights = LossWeights(dice=dice_w, ce=ce_w)
+    gt = (rng.uniform(0, 1, (8, 8)) > 0.6).astype(float)
+    # one phase confident enough that both clamps cut in
+    arrays = {"a": rng.uniform(-4, 4, (8, 8)), "b": rng.uniform(-4, 4, (8, 8)),
+              "c": np.where(gt > 0, 40.0, -40.0) * rng.choice([-1.0, 1.0], (8, 8))}
+    fused, composed = run_both(
+        lambda t: seg_loss([t["a"], t["b"], t["c"]], gt, weights),
+        lambda t: seg_loss_composition([t["a"], t["b"], t["c"]], gt, weights), arrays)
+    for a, b in zip(fused, composed):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("live", ["trailing_zero_rows", "all_zero", "middle_zero_rows"])
+def test_dtam_attention_backward_over_live_rows(live):
+    n, nk, heads = 9, 9, 2
+    dim = 4 * heads
+    arrays = {"q": rng.uniform(-2, 2, (n, dim)), "k": rng.uniform(-2, 2, (nk, dim)),
+              "v": rng.uniform(-1, 1, (nk, dim))}
+    bias = np.log(rng.uniform(0.05, 1.0, (n, nk)))
+    probe = rng.uniform(-1, 1, (n, dim))
+    zero = {"trailing_zero_rows": slice(4, n), "all_zero": slice(0, n),
+            "middle_zero_rows": slice(2, 6)}[live]
+    probe[zero] = 0.0
+    results = []
+    for op in (ad.dtam_attention, per_head_attention):
+        leaves = {name: ad.Tensor(a, requires_grad=True) for name, a in arrays.items()}
+        out = op(leaves["q"], leaves["k"], leaves["v"], bias, heads)
+        ad.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(probe))))
+        results.append([out.data] + [leaves[name].grad for name in "qkv"])
+    (out, dq, dk, dv), looped = results
+    np.testing.assert_array_equal(out, looped[0])
+    if live == "middle_zero_rows":  # nothing after the last live row: no cut
+        for fused, ref in zip((dq, dk, dv), looped[1:]):
+            np.testing.assert_array_equal(fused, ref)
+    else:  # the cut rows add exact zeros; only rounding may differ
+        for fused, ref in zip((dq, dk, dv), looped[1:]):
+            np.testing.assert_allclose(fused, ref, rtol=1e-13, atol=1e-15)
+        assert not dq[zero].any()
+    if live == "all_zero":
+        for g in (dq, dk, dv):
+            assert g.shape in ((n, dim), (nk, dim)) and not g.any()

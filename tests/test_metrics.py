@@ -302,3 +302,9 @@ def test_classification_confusion_oracle():
 def test_classification_length_mismatch():
     with pytest.raises(ContractError):
         classification_metrics([1, 0], [1])
+
+
+def test_psnr_is_a_python_float():
+    a = np.zeros((4, 4))
+    assert type(psnr(a, a + 0.1)) is float
+    assert type(psnr(a, a)) is float

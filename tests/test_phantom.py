@@ -1,5 +1,6 @@
 """Phantom generator: curves, invariants, determinism, and manifests."""
 
+import hashlib
 import json
 import math
 import os
@@ -295,3 +296,28 @@ def test_load_manifest_rejects_unknown_split(tmp_path):
         {"config": {"image_size": 64}, "cases": [{"id": "a", "path": "a", "split": "dev"}]}))
     with pytest.raises(ContractError):
         load_manifest(str(tmp_path))
+
+
+def tree_sha256(root):
+    """sha256 over every file's relative path and bytes, in sorted order."""
+    h = hashlib.sha256()
+    for dirpath, dirnames, files in os.walk(root):
+        dirnames.sort()
+        for name in sorted(files):
+            path = os.path.join(dirpath, name)
+            h.update(os.path.relpath(path, root).encode() + b"\0")
+            with open(path, "rb") as f:
+                h.update(f.read())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("size, count, seed, digest", [
+    (64, 6, 3, "fc8c0c5637fc3bbdf5b9f64a3c57e2c2aa8dbadaf51dfab7d18dacfd42c76665"),
+    (48, 4, 11, "b9cc3b28a8c9a749219d2338116d1881bdf2cfd9c4243f077453887551eaa678"),
+])
+def test_generated_dataset_bytes_are_pinned(tmp_path, size, count, seed, digest):
+    # every later input (training, benchmarks, criteria) derives from these
+    # bytes, so a change to them has to be deliberate
+    generate_dataset(PhantomConfig(image_size=size, case_count=count, master_seed=seed),
+                     str(tmp_path))
+    assert tree_sha256(str(tmp_path)) == digest

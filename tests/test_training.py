@@ -151,3 +151,57 @@ def test_format_ablation_table_shape():
     assert len(lines) == 6
     assert "baseline" in lines[1] and "full" in lines[5]
     assert "n/a" in lines[1]
+
+
+def count_tape_nodes(loss):
+    """Operation nodes behind ``loss``: tensors with a gradient and parents,
+    the count the benchmark reports as ``autodiff.tape_nodes``."""
+    seen, stack, count = set(), [loss], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node.requires_grad:
+            continue
+        seen.add(id(node))
+        if node._parents:
+            count += 1
+            stack.extend(node._parents)
+    return count
+
+
+def test_default_model_case_tape_is_short_and_keeps_its_parts():
+    from phasesynth import autodiff as ad
+    from phasesynth.model import ModelConfig, init_params
+    from phasesynth.phantom import LesionSpec, generate_case
+
+    spec = LesionSpec(center=(30, 33), radii=(8.0, 6.0), class_label=1,
+                      base_intensity=0.6, amplitude=0.25, noise_sigma=0.01)
+    case = generate_case(spec, (0.1, 0.25, 1.0), seed=3)
+    cfg = ModelConfig()
+    params = init_params(cfg, np.random.default_rng(0))
+    _, parts = case_losses(case, params, cfg, "full", LossWeights())
+    # the benchmark's finite-difference probe reads these parts
+    for name in ("syn", "seg", "cls", "total"):
+        assert isinstance(parts[name], ad.Tensor) and parts[name].shape == ()
+    assert count_tape_nodes(parts["total"]) <= 115
+
+
+def test_evaluate_report_numbers_are_python_scalars(tiny_run):
+    from phasesynth.metrics import evaluate
+
+    report = evaluate(tiny_run["checkpoint"], tiny_run["data"], split="test")
+    found = []
+
+    def walk(value, path):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk(item, f"{path}.{key}")
+        elif isinstance(value, (list, tuple)):
+            for i, item in enumerate(value):
+                walk(item, f"{path}[{i}]")
+        elif value is not None and not isinstance(value, str):
+            found.append((path, type(value)))
+
+    walk(report, "report")
+    assert found
+    bad = [(path, t) for path, t in found if t not in (float, int, bool)]
+    assert not bad, bad[:5]
