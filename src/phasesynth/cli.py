@@ -2,9 +2,7 @@
 
 Exit codes: 0 success, 2 usage error (bad arguments, phantom generation
 or domain errors), 3 config, data or checkpoint error (truncated or
-malformed archives included), 4 numerical failure. The
-PHASESYNTH_THREADS environment variable caps internal worker
-parallelism (dataset generation).
+malformed archives included), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -28,13 +26,6 @@ from .training import TrainConfig, format_ablation_table, run_ablation, train
 USAGE_ERROR = 2
 DATA_ERROR = 3
 NUMERIC_ERROR = 4
-
-
-def thread_cap():
-    try:
-        return max(1, int(os.environ.get("PHASESYNTH_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load_json(path):
@@ -72,7 +63,7 @@ def cmd_generate(args):
     if args.seed is not None:
         cfg.master_seed = args.seed
     _check_out_dir(args.out, args.force)
-    manifest_path = generate_dataset(cfg, args.out, workers=thread_cap())
+    manifest_path = generate_dataset(cfg, args.out)
     _write_run_manifest(args.out, "generate", args, cfg.master_seed, started, [manifest_path])
     print(manifest_path)
     return 0

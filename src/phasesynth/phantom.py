@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, DomainError, GenerationError
-from .tensorio import load_tensor, save_tensor
+from .tensorio import load_archive, save_archive
 
 PHASE_NAMES = ("art", "pv", "delay")
 # nominal normalized acquisition times: 30 s / 75 s / 300 s over the
@@ -28,8 +28,10 @@ PHASE_NAMES = ("art", "pv", "delay")
 DEFAULT_TIMES = (0.1, 0.25, 1.0)
 PARENCHYMA_RATE = 0.25
 SPLITS = ("train", "val", "test")
-
-CASE_FILES = ("ncmri.t", "mask.t", "phase_art.t", "phase_pv.t", "phase_delay.t")
+# a dataset is manifest.json plus one case_NNNN.ntar archive per case that
+# holds these tensors, with {"label", "times", "seed"} as its meta
+MANIFEST_SCHEMA = 2
+CASE_TENSORS = ("ncmri", "mask") + tuple(f"phase_{name}" for name in PHASE_NAMES)
 
 
 @dataclass
@@ -95,6 +97,10 @@ class PhantomConfig:
             raise GenerationError("image_size too small")
         if not 0.0 <= self.time_jitter <= 1.0:
             raise GenerationError("time_jitter outside [0,1]")
+        # the slack lets decimal fractions such as (0.70, 0.15, 0.15) through
+        if not (all(f >= 0.0 for f in self.split_fractions)
+                and math.fsum(self.split_fractions) <= 1.0 + 1e-9):
+            raise GenerationError("split_fractions must be non-negative and sum to at most 1")
 
     @classmethod
     def from_dict(cls, d):
@@ -267,54 +273,35 @@ def assign_splits(case_count, fractions, rng):
 
 
 def _write_case(cfg, out_dir, index, label):
-    """Generate and persist one case; pure given (cfg, index, label)."""
+    """Generate one case and write it as one archive; pure given (cfg, index, label)."""
     seed = cfg.master_seed + index
     rng = np.random.default_rng(seed)
     spec = _draw_spec(cfg, label, rng)
     times = sample_times(cfg.times, cfg.time_jitter, rng)
     case = generate_case(spec, times, seed, cfg.image_size, cfg.background)
-    case_id = f"case_{index:04d}"
-    case_dir = os.path.join(out_dir, case_id)
-    os.makedirs(case_dir, exist_ok=True)
-    save_tensor(os.path.join(case_dir, "ncmri.t"), case.ncmri)
-    save_tensor(os.path.join(case_dir, "mask.t"), case.tumor_mask)
-    for name, img in zip(PHASE_NAMES, case.phases):
-        save_tensor(os.path.join(case_dir, f"phase_{name}.t"), img)
-    with open(os.path.join(case_dir, "meta.json"), "w") as f:
-        json.dump({"label": label, "times": list(times), "seed": seed}, f, sort_keys=True)
-    return case_id
+    name = f"case_{index:04d}.ntar"
+    save_archive(os.path.join(out_dir, name),
+                 dict(zip(CASE_TENSORS, [case.ncmri, case.tumor_mask, *case.phases])),
+                 meta={"label": label, "times": list(times), "seed": seed})
+    return name
 
 
-def generate_dataset(cfg, out_dir, workers=1):
-    """Write cases and a manifest; fully determined by cfg.master_seed.
-
-    Cases are independent given their per-case seeds, so they may be
-    written by up to ``workers`` threads; the manifest is assembled
-    sequentially either way.
-    """
+def generate_dataset(cfg, out_dir):
+    """Write one archive per case and a manifest; fully determined by cfg.master_seed."""
     cfg.validate()
     os.makedirs(out_dir, exist_ok=True)
     n_mal = int(round(cfg.case_count * cfg.class_balance))
     labels = [1] * n_mal + [0] * (cfg.case_count - n_mal)
     split_rng = np.random.default_rng(cfg.master_seed)
     splits = assign_splits(cfg.case_count, cfg.split_fractions, split_rng)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ids = list(pool.map(lambda i: _write_case(cfg, out_dir, i, labels[i]),
-                                range(cfg.case_count)))
-    else:
-        ids = [_write_case(cfg, out_dir, i, labels[i]) for i in range(cfg.case_count)]
-
     cases = [
-        {"id": ids[i], "label": labels[i], "seed": cfg.master_seed + i,
-         "split": splits[i], "path": ids[i]}
+        {"id": f"case_{i:04d}", "label": labels[i], "seed": cfg.master_seed + i,
+         "split": splits[i], "path": _write_case(cfg, out_dir, i, labels[i])}
         for i in range(cfg.case_count)
     ]
 
     manifest = {
-        "schema_version": 1,
+        "schema_version": MANIFEST_SCHEMA,
         "config": asdict(cfg),
         "cases": cases,
     }
@@ -329,18 +316,30 @@ def _check(ok, path, problem):
         raise ContractError(f"{path}: {problem}")
 
 
+def _bare_name(path):
+    """A non-empty file name with no directory part and no leading '.', so
+    that joined to the data directory it stays inside it."""
+    return (isinstance(path, str) and path != "" and path == os.path.basename(path)
+            and not path.startswith("."))
+
+
 def load_manifest(data_dir, image_size=None):
     """The manifest, format-checked; ConfigError if ``image_size`` is given and differs."""
     path = os.path.join(data_dir, "manifest.json")
     with open(path) as f:
         m = json.load(f)
-    _check(isinstance(m, dict) and isinstance(m.get("config"), dict)
+    version = m.get("schema_version") if isinstance(m, dict) else None
+    _check(version == MANIFEST_SCHEMA, path,
+           f"manifest schema_version {version!r} is not {MANIFEST_SCHEMA}; datasets from "
+           "earlier versions must be regenerated with `phasesynth generate`")
+    _check(isinstance(m.get("config"), dict)
            and type(m["config"].get("image_size")) is int and isinstance(m.get("cases"), list)
            and all(isinstance(e, dict) and isinstance(e.get("id"), str)
-                   and isinstance(e.get("path"), str) and e.get("split") in SPLITS
+                   and _bare_name(e.get("path")) and e.get("split") in SPLITS
                    for e in m["cases"]),
            path, "manifest needs an integer config.image_size and a cases list of "
-           f"entries with a string id and path and a split in {SPLITS}")
+           "entries with a string id, a path that is a bare file name (no separator, "
+           f"no leading '.') and a split in {SPLITS}")
     if image_size is not None and m["config"]["image_size"] != image_size:
         raise ConfigError(f"model image size {image_size} does not match dataset "
                           f"{m['config']['image_size']}")
@@ -348,19 +347,19 @@ def load_manifest(data_dir, image_size=None):
 
 
 def load_case(data_dir, entry):
-    """One case; its meta and images are checked against the generator's format."""
-    case_dir = os.path.join(data_dir, entry["path"])
-    meta_path = os.path.join(case_dir, "meta.json")
-    with open(meta_path) as f:
-        meta = json.load(f)
+    """One case archive; its meta and tensors are checked against the generator's format."""
+    path = os.path.join(data_dir, entry["path"])
+    named, meta = load_archive(path)
     times = meta.get("times") if isinstance(meta, dict) else None
     _check(isinstance(times, list) and len(times) == len(PHASE_NAMES)
            and all(type(t) in (int, float) for t in times) and _increasing_unit_times(times)
            and meta.get("label") in (0, 1) and type(meta["label"]) is int
            and type(meta.get("seed")) is int,
-           meta_path, "meta needs 3 strictly increasing times in (0,1], "
+           path, "meta needs 3 strictly increasing times in (0,1], "
            "a 0 or 1 label and an integer seed")
-    images = [load_tensor(os.path.join(case_dir, name)) for name in CASE_FILES]
+    _check(sorted(named) == sorted(CASE_TENSORS), path,
+           f"archive holds tensors {sorted(named)}, not {sorted(CASE_TENSORS)}")
+    images = [named[name] for name in CASE_TENSORS]
     _check(len({a.shape for a in images}) == 1 and images[0].ndim == 2,
-           case_dir, "images differ in shape or are not 2-D")
+           path, "images differ in shape or are not 2-D")
     return CaseRecord(images[0], images[1], images[2:], tuple(times), meta["label"], meta["seed"])

@@ -57,6 +57,16 @@ def test_generate_invalid_config_is_usage_error(tmp_path):
         == USAGE_ERROR
 
 
+@pytest.mark.parametrize("fractions", [[0.5, 0.8, 0.0], [-0.2, 0.1, 0.0]])
+def test_generate_bad_split_fractions_is_usage_error(tmp_path, fractions, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"case_count": 10, "split_fractions": fractions}))
+    out = tmp_path / "d"
+    assert main(["generate", "--config", str(bad), "--out", str(out)]) == USAGE_ERROR
+    assert "split_fractions" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("config", [{"times": 5}, {"times": [0.1, 0.5]},
                                     {"image_size": "x"}, {"radius": None}, [PHANTOM_CFG],
                                     {"case_cnt": 10}, {"image_size": 64.7}])
@@ -214,15 +224,34 @@ def _manifest_without_image_size(data):
     (data / "manifest.json").write_text(json.dumps(manifest))
 
 
-def _val_meta_edit(edit):
+def _manifest_schema_1(data):
+    # the layout before one archive per case: schema 1, a directory per case
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["schema_version"] = 1
+    for entry in manifest["cases"]:
+        entry["path"] = entry["id"]
+    (data / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _val_path_escapes(data):
+    manifest = json.loads((data / "manifest.json").read_text())
+    next(e for e in manifest["cases"] if e["split"] == "val")["path"] = "../x"
+    (data / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _val_archive_edit(edit):
     def damage(data):
         manifest = json.loads((data / "manifest.json").read_text())
         entry = next(e for e in manifest["cases"] if e["split"] == "val")
-        path = data / entry["path"] / "meta.json"
-        meta = json.loads(path.read_text())
-        edit(meta)
-        path.write_text(json.dumps(meta))
+        path = data / entry["path"]
+        named, meta = load_archive(path)
+        edit(named, meta)
+        save_archive(path, named, meta=meta)
     return damage
+
+
+def _val_meta_edit(edit):
+    return _val_archive_edit(lambda named, meta: edit(meta))
 
 
 @pytest.mark.parametrize("damage", [
@@ -232,7 +261,11 @@ def _val_meta_edit(edit):
     _val_meta_edit(lambda m: m.update(times=m["times"][:2])),
     _val_meta_edit(lambda m: m.update(times=m["times"][:2] + [1.5])),
     _val_meta_edit(lambda m: m.update(label="x")),
-], ids=["no_cases", "no_image_size", "no_times", "two_times", "time_1.5", "label_x"])
+    _manifest_schema_1,
+    _val_path_escapes,
+    _val_archive_edit(lambda named, meta: named.pop("phase_pv")),
+], ids=["no_cases", "no_image_size", "no_times", "two_times", "time_1.5", "label_x",
+        "schema_1", "path_dotdot", "no_phase_pv"])
 def test_evaluate_malformed_dataset_is_data_error(workspace, tmp_path, damage, capsys):
     data = tmp_path / "data"
     shutil.copytree(workspace["data"], data)
@@ -340,14 +373,3 @@ def test_cli_determinism(tmp_path):
     a = (tmp_path / "a" / "manifest.json").read_bytes()
     b = (tmp_path / "b" / "manifest.json").read_bytes()
     assert a == b
-
-
-def test_thread_cap_env(monkeypatch):
-    from phasesynth.cli import thread_cap
-
-    monkeypatch.setenv("PHASESYNTH_THREADS", "4")
-    assert thread_cap() == 4
-    monkeypatch.setenv("PHASESYNTH_THREADS", "junk")
-    assert thread_cap() == 1
-    monkeypatch.delenv("PHASESYNTH_THREADS")
-    assert thread_cap() == 1

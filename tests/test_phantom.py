@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasesynth.errors import ContractError, DomainError, GenerationError
-from phasesynth.phantom import (DEFAULT_TIMES, PARENCHYMA_RATE, CaseRecord,
-                                LesionSpec, PhantomConfig, assign_splits,
+from phasesynth.phantom import (CASE_TENSORS, DEFAULT_TIMES, PARENCHYMA_RATE,
+                                CaseRecord, LesionSpec, PhantomConfig, assign_splits,
                                 enhancement_curve, generate_case,
                                 generate_dataset, load_case, load_manifest)
-from phasesynth.tensorio import save_tensor
+from phasesynth.tensorio import load_archive, save_archive
 
 
 def make_spec(**kw):
@@ -180,7 +180,7 @@ def test_generate_dataset_layout_and_balance(tmp_path):
     path = generate_dataset(cfg, str(tmp_path))
     manifest = load_manifest(str(tmp_path))
     assert os.path.basename(path) == "manifest.json"
-    assert manifest["schema_version"] == 1
+    assert manifest["schema_version"] == 2
     assert len(manifest["cases"]) == 10
     labels = [c["label"] for c in manifest["cases"]]
     assert labels.count(1) == 5 and labels.count(0) == 5
@@ -199,19 +199,26 @@ def test_generate_dataset_deterministic(tmp_path):
     man_a = (tmp_path / "a" / "manifest.json").read_bytes()
     man_b = (tmp_path / "b" / "manifest.json").read_bytes()
     assert man_a == man_b
-    blob_a = (tmp_path / "a" / "case_0002" / "ncmri.t").read_bytes()
-    blob_b = (tmp_path / "b" / "case_0002" / "ncmri.t").read_bytes()
+    blob_a = (tmp_path / "a" / "case_0002.ntar").read_bytes()
+    blob_b = (tmp_path / "b" / "case_0002.ntar").read_bytes()
     assert blob_a == blob_b
+    (named_a, meta_a), (named_b, meta_b) = (load_archive(tmp_path / side / "case_0002.ntar")
+                                            for side in ("a", "b"))
+    assert meta_a == meta_b
+    np.testing.assert_array_equal(named_a["ncmri"], named_b["ncmri"])
 
 
-def test_generate_dataset_parallel_matches_serial(tmp_path):
-    cfg = PhantomConfig(case_count=8, master_seed=4, split_fractions=(0.5, 0.25, 0.25))
-    generate_dataset(cfg, str(tmp_path / "serial"), workers=1)
-    generate_dataset(cfg, str(tmp_path / "pooled"), workers=4)
-    for name in ("manifest.json", "case_0005/phase_delay.t"):
-        a = (tmp_path / "serial" / name).read_bytes()
-        b = (tmp_path / "pooled" / name).read_bytes()
-        assert a == b
+def test_generate_dataset_writes_one_archive_per_case(tmp_path):
+    cfg = PhantomConfig(case_count=5, master_seed=2, split_fractions=(0.6, 0.2, 0.2))
+    generate_dataset(cfg, str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == \
+        [f"case_{i:04d}.ntar" for i in range(5)] + ["manifest.json"]
+    assert not [p for p in tmp_path.iterdir() if p.is_dir()]
+    manifest = load_manifest(str(tmp_path))
+    assert [e["path"] for e in manifest["cases"]] == [f"{e['id']}.ntar" for e in manifest["cases"]]
+    named, meta = load_archive(tmp_path / "case_0001.ntar")
+    assert sorted(named) == sorted(CASE_TENSORS)
+    assert sorted(meta) == ["label", "seed", "times"]
 
 
 def test_config_validation():
@@ -219,6 +226,19 @@ def test_config_validation():
         PhantomConfig(case_count=1).validate()
     with pytest.raises(GenerationError):
         PhantomConfig(class_balance=0.0).validate()
+
+
+@pytest.mark.parametrize("fractions", [(0.5, 0.8, 0.0), (-0.2, 0.1, 0.0)])
+def test_split_fractions_validated(fractions):
+    # (0.5, 0.8, 0.0) used to give 100/100/0 of 200 cases, (-0.2, 0.1, 0.0) all 200 to test
+    with pytest.raises(GenerationError, match="split_fractions"):
+        PhantomConfig(split_fractions=fractions).validate()
+
+
+@pytest.mark.parametrize("fractions", [(0.70, 0.15, 0.15), (0.11, 0.06, 0.83),
+                                       (0.05, 0.03, 0.92), (0.5, 0.25, 0.25), (0.5, 0.5, 0.0)])
+def test_split_fractions_that_sum_to_one_pass(fractions):
+    PhantomConfig(split_fractions=fractions).validate()
 
 
 def test_class_intensity_ranges_disjoint():
@@ -282,19 +302,63 @@ def test_config_from_manifest_echo_round_trip(tmp_path):
     assert PhantomConfig.from_dict(load_manifest(str(tmp_path))["config"]) == cfg
 
 
-def test_load_case_rejects_images_of_different_shapes(tmp_path):
+def damaged_case(root, damage):
+    """The manifest entry of a generated case whose tensors ``damage`` edited in place."""
     cfg = PhantomConfig(case_count=2, master_seed=3, split_fractions=(0.5, 0.5, 0.0))
-    generate_dataset(cfg, str(tmp_path))
-    entry = load_manifest(str(tmp_path))["cases"][0]
-    save_tensor(str(tmp_path / entry["path"] / "mask.t"), np.zeros((32, 32)))
+    generate_dataset(cfg, str(root))
+    entry = load_manifest(str(root))["cases"][0]
+    path = root / entry["path"]
+    named, meta = load_archive(path)
+    damage(named)
+    save_archive(path, named, meta=meta)
+    return entry
+
+
+def test_load_case_rejects_images_of_different_shapes(tmp_path):
+    entry = damaged_case(tmp_path, lambda named: named.update(mask=np.zeros((32, 32))))
+    with pytest.raises(ContractError, match="shape"):
+        load_case(str(tmp_path), entry)
+
+
+def _extra_tensor(named):
+    named["phase_late"] = named["ncmri"]
+
+
+def _all_three_d(named):
+    for name in named:
+        named[name] = named[name][None]
+
+
+@pytest.mark.parametrize("damage", [_extra_tensor, _all_three_d])
+def test_load_case_rejects_archives_without_the_five_2d_images(tmp_path, damage):
+    entry = damaged_case(tmp_path, damage)
     with pytest.raises(ContractError):
         load_case(str(tmp_path), entry)
 
 
+def write_manifest(root, schema_version=2, path="a.ntar", split="train"):
+    (root / "manifest.json").write_text(json.dumps(
+        {"schema_version": schema_version, "config": {"image_size": 64},
+         "cases": [{"id": "a", "path": path, "split": split}]}))
+
+
 def test_load_manifest_rejects_unknown_split(tmp_path):
-    (tmp_path / "manifest.json").write_text(json.dumps(
-        {"config": {"image_size": 64}, "cases": [{"id": "a", "path": "a", "split": "dev"}]}))
+    write_manifest(tmp_path, split="dev")
     with pytest.raises(ContractError):
+        load_manifest(str(tmp_path))
+
+
+@pytest.mark.parametrize("version", [1, None, "2"])
+def test_load_manifest_asks_to_regenerate_an_old_dataset(tmp_path, version):
+    write_manifest(tmp_path, schema_version=version)
+    with pytest.raises(ContractError, match="phasesynth generate"):
+        load_manifest(str(tmp_path))
+
+
+@pytest.mark.parametrize("path", ["../x", "/abs", "sub/case.ntar", ".hidden", "", 3])
+def test_load_manifest_rejects_a_path_that_is_not_a_bare_file_name(tmp_path, path):
+    write_manifest(tmp_path, path=path)
+    with pytest.raises(ContractError, match="bare file name"):
         load_manifest(str(tmp_path))
 
 
@@ -312,12 +376,38 @@ def tree_sha256(root):
 
 
 @pytest.mark.parametrize("size, count, seed, digest", [
-    (64, 6, 3, "fc8c0c5637fc3bbdf5b9f64a3c57e2c2aa8dbadaf51dfab7d18dacfd42c76665"),
-    (48, 4, 11, "b9cc3b28a8c9a749219d2338116d1881bdf2cfd9c4243f077453887551eaa678"),
-])
+    (64, 6, 3, "449e715cdd23eacf65dd4cf255a13133428b9abfe494ea63d63a4b2ea449f5c4"),
+    (48, 4, 11, "9b81b1bc41517c149fbc05d410c0b515a055505cae56d8875d794dcfe44784b2"),
+], ids=["64-6-3", "48-4-11"])
 def test_generated_dataset_bytes_are_pinned(tmp_path, size, count, seed, digest):
     # every later input (training, benchmarks, criteria) derives from these
     # bytes, so a change to them has to be deliberate
     generate_dataset(PhantomConfig(image_size=size, case_count=count, master_seed=seed),
                      str(tmp_path))
     assert tree_sha256(str(tmp_path)) == digest
+
+
+def content_sha256(data_dir):
+    """sha256 over each case's id, its five images as <f8 bytes and its meta,
+    in manifest order: the dataset's content, whatever the file format."""
+    h = hashlib.sha256()
+    for entry in load_manifest(data_dir)["cases"]:
+        case = load_case(data_dir, entry)
+        h.update(entry["id"].encode() + b"\0")
+        for image in [case.ncmri, case.tumor_mask, *case.phases]:
+            h.update(np.asarray(image, dtype="<f8").tobytes())
+        h.update(json.dumps({"times": list(case.times), "label": case.class_label,
+                             "seed": case.seed}, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("size, count, seed, digest", [
+    (64, 6, 3, "0e9f02897ee9a13da73db0e5e08063d8762083086f31c6dc86aad267119a13b0"),
+    (48, 4, 11, "3c78f69a0a722ff4fab644f7c69ecaee774bc42a9eb8250eef5fad1265cfd6f6"),
+], ids=["64-6-3", "48-4-11"])
+def test_generated_dataset_content_is_pinned(tmp_path, size, count, seed, digest):
+    # the same values as the one-file-per-tensor layout that came before the
+    # archives: the format moved, the arrays and meta did not
+    generate_dataset(PhantomConfig(image_size=size, case_count=count, master_seed=seed),
+                     str(tmp_path))
+    assert content_sha256(str(tmp_path)) == digest

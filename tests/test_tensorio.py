@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from phasesynth.errors import ContractError
-from phasesynth.tensorio import (load_archive, load_tensor, save_archive,
-                                 save_pgm, save_tensor, tensor_bytes,
+from phasesynth.tensorio import (load_archive, save_archive, save_pgm, tensor_bytes,
                                  tensor_from_bytes)
 
 
@@ -43,13 +42,6 @@ def test_truncated_payload_rejected():
     blob = tensor_bytes(np.zeros(4))
     with pytest.raises(ContractError):
         tensor_from_bytes(blob[:-8])
-
-
-def test_file_round_trip(tmp_path):
-    arr = np.arange(12.0).reshape(3, 4)
-    path = tmp_path / "a.t"
-    save_tensor(path, arr)
-    np.testing.assert_array_equal(load_tensor(path), arr)
 
 
 def test_archive_round_trip_and_meta(tmp_path):
