@@ -36,6 +36,8 @@ class DtamConfig:
     def validate(self, embed_dim):
         if self.sigma <= 0:
             raise ConfigError("sigma must be positive")
+        if self.head_count < 1:
+            raise ConfigError("head_count must be positive")
         if embed_dim % self.head_count != 0:
             raise ConfigError(f"embed_dim {embed_dim} not divisible by head_count {self.head_count}")
 

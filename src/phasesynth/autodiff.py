@@ -1,36 +1,36 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The graph built during a forward pass *is* the tape: every produced Tensor
-remembers its parents and a closure that pushes adjoints to them.
-``backward`` walks that record once, in reverse topological order.
+The graph built during a forward pass *is* the tape. Every op makes its
+output with one constructor, ``node(data, parents, *adjoints)``:
+``adjoints[i](g)`` maps the output's adjoint ``g`` to parent i's. The
+node joins the tape only when some parent requires a gradient.
+``backward`` walks that record once, in reverse topological order; it is
+the one place that checks which parents require a gradient, calls their
+adjoints and accumulates the results.
 
 Gradient policy: ``backward`` consumes the graph. Each operation node
-drops its adjoint, closure and parents once it has pushed its adjoint
-on, so only leaves keep ``grad``, and a second ``backward`` through a
-consumed graph raises ``ContractError``. Leaves accumulate across
-``backward`` calls on new graphs (callers reset with ``zero_grads``
-between steps). Adjoint arrays may be shared between tensors, so they
-are never updated in place.
+drops its adjoint, adjoint functions and parents once it has pushed its
+adjoint on, so only leaves keep ``grad``, and a second ``backward``
+through a consumed graph raises ``ContractError``. Leaves accumulate
+across ``backward`` calls on new graphs (callers reset with
+``zero_grads`` between steps). Adjoint arrays may be shared between
+tensors, so they are never updated in place.
 
 Broadcasting is limited to leading-axis expansion: two operands are
 compatible when their shapes are equal or one shape is a suffix of the
 other (a scalar broadcasts against anything).
 
-Fused nodes keep the training tape short; each does in one node what a
-composition of the ops above did, with the same float operations in the
-same order in the forward:
+Fused ops keep the training tape short: ``linear`` (``x @ w (+ b)``),
+``rearrange`` (reshape, transpose, reshape: the model's depatchify) and
+``dtam_attention`` (multi-head attention, its backward batched over
+heads) each do in one node what a composition of the elementwise and
+shaping ops did, with the same float operations in the same order in
+the forward; ``losses.syn_loss`` and ``losses.seg_loss`` do the same for
+the image losses. ``dtam_attention`` keeps every head's weights only
+when an input requires a gradient or the caller asks for them; without
+a tape the heads share one reused score buffer.
 
-- ``linear``: ``x @ w (+ b)`` for a 1-D or 2-D x, one adjoint each for
-  x, w and b;
-- ``rearrange``: reshape, transpose, reshape (the model's depatchify);
-- ``node``: any op whose backward is written by hand; the losses use it
-  for ``syn_loss`` and ``seg_loss``;
-- ``dtam_attention``: multi-head attention, with a backward batched over
-  heads. It keeps every head's weights only when an input requires a
-  gradient or the caller asks for them; without a tape the heads share
-  one reused score buffer.
-
-Live rows: ``dtam_attention``'s backward works on the query rows up to
+Live rows: ``dtam_attention``'s adjoints work on the query rows up to
 the last one whose adjoint is not all zero. A later row adds exactly
 zero to every gradient, so cutting it changes the gradients only by
 rounding. The model keeps only the current block's rows of the output,
@@ -45,14 +45,14 @@ from .errors import ContractError, DimensionError, DomainError
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_adjoints")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = ()
-        self._backward = None
+        self._adjoints = None
 
     @property
     def shape(self):
@@ -72,33 +72,23 @@ class Tensor:
         self.grad = g if self.grad is None else self.grad + g
 
 
-def _result(data, parents, backward_fn):
-    out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward_fn
-    return out
-
-
 def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def node(data, parents, adjoints):
-    """One node with a backward written by hand, for a fused composite op.
+def node(data, parents, *adjoints):
+    """A Tensor holding ``data``, on the tape when some parent requires a gradient.
 
-    ``adjoints(g)`` maps the output's adjoint ``g`` to an iterable of one
-    adjoint per parent, in order; parents without a gradient drop theirs.
+    ``adjoints[i](g)`` maps the output's adjoint ``g`` to the adjoint of
+    ``parents[i]``; ``backward`` calls it only when that parent requires
+    a gradient.
     """
-    parents = tuple(parents)
-
-    def backward(out):
-        for p, g in zip(parents, adjoints(out.grad)):
-            if p.requires_grad:
-                p._accumulate(g)
-
-    return _result(data, parents, backward)
+    out = Tensor(data)
+    if any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._parents = tuple(parents)
+        out._adjoints = adjoints
+    return out
 
 
 def _broadcast_shape(sa, sb):
@@ -118,6 +108,20 @@ def _unbroadcast(g, shape):
     return g
 
 
+def _scatter(like, index, g):
+    """Zeros shaped like ``like`` with ``g`` written at ``index``."""
+    full = np.zeros_like(like)
+    full[index] = g
+    return full
+
+
+def _spread(g, axis, shape):
+    """A reduction's adjoint broadcast back over the reduced axis, as a fresh array."""
+    if axis is not None:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape).copy()
+
+
 # ---------------------------------------------------------------------------
 # elementwise suite
 
@@ -125,125 +129,68 @@ def _unbroadcast(g, shape):
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
     _broadcast_shape(a.shape, b.shape)
-
-    def backward(out):
-        g = out.grad
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
-
-    return _result(a.data + b.data, (a, b), backward)
+    return node(a.data + b.data, (a, b),
+                lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape))
 
 
 def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
     _broadcast_shape(a.shape, b.shape)
-
-    def backward(out):
-        g = out.grad
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.shape))
-
-    return _result(a.data - b.data, (a, b), backward)
+    return node(a.data - b.data, (a, b),
+                lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(-g, b.shape))
 
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     _broadcast_shape(a.shape, b.shape)
-
-    def backward(out):
-        g = out.grad
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
-
-    return _result(a.data * b.data, (a, b), backward)
+    return node(a.data * b.data, (a, b),
+                lambda g: _unbroadcast(g * b.data, a.shape),
+                lambda g: _unbroadcast(g * a.data, b.shape))
 
 
 def div(a, b):
     a, b = as_tensor(a), as_tensor(b)
     _broadcast_shape(a.shape, b.shape)
-
-    def backward(out):
-        g = out.grad
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _result(a.data / b.data, (a, b), backward)
+    return node(a.data / b.data, (a, b),
+                lambda g: _unbroadcast(g / b.data, a.shape),
+                lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
 
 def scale(a, c):
     a = as_tensor(a)
     c = float(c)
-
-    def backward(out):
-        if a.requires_grad:
-            a._accumulate(out.grad * c)
-
-    return _result(a.data * c, (a,), backward)
+    return node(a.data * c, (a,), lambda g: g * c)
 
 
 def exp(a):
     a = as_tensor(a)
     y = np.exp(a.data)
-
-    def backward(out):
-        if a.requires_grad:
-            a._accumulate(out.grad * y)
-
-    return _result(y, (a,), backward)
+    return node(y, (a,), lambda g: g * y)
 
 
 def log(a):
     a = as_tensor(a)
     if np.any(a.data <= 0):
         raise DomainError("log requires strictly positive input")
-    y = np.log(a.data)
-
-    def backward(out):
-        if a.requires_grad:
-            a._accumulate(out.grad / a.data)
-
-    return _result(y, (a,), backward)
+    return node(np.log(a.data), (a,), lambda g: g / a.data)
 
 
 def sigmoid(a):
     a = as_tensor(a)
     y = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(out):
-        if a.requires_grad:
-            a._accumulate(out.grad * y * (1.0 - y))
-
-    return _result(y, (a,), backward)
+    return node(y, (a,), lambda g: g * y * (1.0 - y))
 
 
 def relu(a):
     a = as_tensor(a)
     keep = a.data > 0
-
-    def backward(out):
-        if a.requires_grad:
-            a._accumulate(out.grad * keep)
-
-    return _result(np.where(keep, a.data, 0.0), (a,), backward)
+    return node(np.where(keep, a.data, 0.0), (a,), lambda g: g * keep)
 
 
 def abs_val(a):
     a = as_tensor(a)
     s = np.sign(a.data)
-
-    def backward(out):
-        if a.requires_grad:
-            a._accumulate(out.grad * s)
-
-    return _result(np.abs(a.data), (a,), backward)
+    return node(np.abs(a.data), (a,), lambda g: g * s)
 
 
 def clip_min(a, floor):
@@ -251,12 +198,7 @@ def clip_min(a, floor):
     a = as_tensor(a)
     floor = float(floor)
     keep = a.data > floor
-
-    def backward(out):
-        if a.requires_grad:
-            a._accumulate(out.grad * keep)
-
-    return _result(np.where(keep, a.data, floor), (a,), backward)
+    return node(np.where(keep, a.data, floor), (a,), lambda g: g * keep)
 
 
 # ---------------------------------------------------------------------------
@@ -267,54 +209,31 @@ def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul shapes incompatible: {a.shape} x {b.shape}")
-
-    def backward(out):
-        g = out.grad
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
-
-    return _result(a.data @ b.data, (a, b), backward)
+    return node(a.data @ b.data, (a, b), lambda g: g @ b.data.T, lambda g: a.data.T @ g)
 
 
 def transpose(a, axes=None):
     a = as_tensor(a)
     axes_t = tuple(axes) if axes is not None else tuple(reversed(range(a.data.ndim)))
-    inv = np.argsort(axes_t)
-
-    def backward(out):
-        if a.requires_grad:
-            a._accumulate(out.grad.transpose(inv))
-
-    return _result(a.data.transpose(axes_t), (a,), backward)
+    return node(a.data.transpose(axes_t), (a,), lambda g: g.transpose(np.argsort(axes_t)))
 
 
 def reshape(a, shape):
     a = as_tensor(a)
-    old = a.shape
-
-    def backward(out):
-        if a.requires_grad:
-            a._accumulate(out.grad.reshape(old))
-
-    return _result(a.data.reshape(shape), (a,), backward)
+    return node(a.data.reshape(shape), (a,), lambda g: g.reshape(a.shape))
 
 
 def concat(tensors, axis=0):
     tensors = [as_tensor(t) for t in tensors]
     if not tensors:
         raise DimensionError("concat of empty tensor list")
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def backward(out):
-        pieces = np.split(out.grad, splits, axis=axis)
-        for t, g in zip(tensors, pieces):
-            if t.requires_grad:
-                t._accumulate(g)
-
-    return _result(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
+    bounds = [0]
+    for t in tensors:
+        bounds.append(bounds[-1] + t.shape[axis])
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    lead = (slice(None),) * (axis % data.ndim)
+    return node(data, tensors, *(lambda g, piece=lead + (slice(lo, hi),): g[piece]
+                                 for lo, hi in zip(bounds, bounds[1:])))
 
 
 def slice_axis(a, axis, start, stop):
@@ -324,41 +243,18 @@ def slice_axis(a, axis, start, stop):
     sl = [slice(None)] * a.data.ndim
     sl[axis] = slice(start, stop)
     sl = tuple(sl)
-
-    def backward(out):
-        if a.requires_grad:
-            g = np.zeros_like(a.data)
-            g[sl] = out.grad
-            a._accumulate(g)
-
-    return _result(a.data[sl], (a,), backward)
+    return node(a.data[sl], (a,), lambda g: _scatter(a.data, sl, g))
 
 
 def reduce_sum(a, axis=None):
     a = as_tensor(a)
-
-    def backward(out):
-        if a.requires_grad:
-            g = out.grad
-            if axis is not None:
-                g = np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(g, a.shape).copy())
-
-    return _result(a.data.sum(axis=axis), (a,), backward)
+    return node(a.data.sum(axis=axis), (a,), lambda g: _spread(g, axis, a.shape))
 
 
 def reduce_mean(a, axis=None):
     a = as_tensor(a)
     n = a.data.size if axis is None else a.shape[axis]
-
-    def backward(out):
-        if a.requires_grad:
-            g = out.grad / n
-            if axis is not None:
-                g = np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(g, a.shape).copy())
-
-    return _result(a.data.mean(axis=axis), (a,), backward)
+    return node(a.data.mean(axis=axis), (a,), lambda g: _spread(g / n, axis, a.shape))
 
 
 def softmax_last_axis(a, bias=None):
@@ -381,16 +277,14 @@ def softmax_last_axis(a, bias=None):
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
 
-    def backward(out):
-        if a.requires_grad:
-            # y * (g - sum(y * g)) in one buffer
-            g = out.grad
-            buf = y * g
-            np.subtract(g, buf.sum(axis=-1, keepdims=True), out=buf)
-            buf *= y
-            a._accumulate(buf)
+    def adjoint(g):
+        # y * (g - sum(y * g)) in one buffer
+        buf = y * g
+        np.subtract(g, buf.sum(axis=-1, keepdims=True), out=buf)
+        buf *= y
+        return buf
 
-    return _result(y, (a,), backward)
+    return node(y, (a,), adjoint)
 
 
 def _split_heads(x, heads):
@@ -414,11 +308,11 @@ def dtam_attention(q, k, v, bias, heads, weights_out=None):
 
     Each head's weights are filled in place (scores, + bias, shift, exp,
     normalize) into one of two buffers. They are kept, as an (H, n, nk)
-    array, only when some input requires a gradient (the hand-written
-    backward, batched over heads, reads them) or when ``weights_out``, a
-    list, is given; it then receives one (n, nk) array per head. Otherwise
-    every head reuses one (n, nk) scratch, so a forward pass without a
-    tape holds a single score matrix at a time.
+    array, only when some input requires a gradient (the adjoints,
+    batched over heads, read them) or when ``weights_out``, a list, is
+    given; it then receives one (n, nk) array per head. Otherwise every
+    head reuses one (n, nk) scratch, so a forward pass without a tape
+    holds a single score matrix at a time.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
@@ -451,38 +345,54 @@ def dtam_attention(q, k, v, bias, heads, weights_out=None):
     if weights_out is not None:
         weights_out.extend(w)
 
-    def backward(out):
+    shared = {}  # formed once per backward, read by every adjoint that needs it
+
+    def live(g):
         # live rows: a query row after the last one with a nonzero adjoint
         # adds exactly zero to every gradient, so only the first r count
-        live = np.flatnonzero(out.grad.any(axis=1))
-        r = int(live[-1]) + 1 if live.size else 0
-        g = _split_heads(out.grad[:r], heads)
-        wr = w[:, :r]
-        if v.requires_grad:
-            v._accumulate(_merge_heads(np.matmul(wr.transpose(0, 2, 1), g)))
-        if not (q.requires_grad or k.requires_grad):
-            return
-        # softmax backward w * (dw - sum(w * dw)), formed in dw's buffer
-        s = np.matmul(g, vh.transpose(0, 2, 1))
-        s -= (wr * s).sum(axis=-1, keepdims=True)
-        s *= wr
-        if q.requires_grad:
-            dq = np.zeros((n, dim))
-            dq[:r] = _merge_heads(np.matmul(s, kh))
-            q._accumulate(dq)
-        if k.requires_grad:
-            dk = np.matmul(qh[:, :r].transpose(0, 2, 1), s)
-            k._accumulate(_merge_heads(dk.transpose(0, 2, 1)))
+        if not shared:
+            rows = np.flatnonzero(g.any(axis=1))
+            r = int(rows[-1]) + 1 if rows.size else 0
+            shared.update(r=r, g=_split_heads(g[:r], heads), w=w[:, :r])
+        return shared
 
-    return _result(_merge_heads(z), (q, k, v), backward)
+    def softmax_back(g):
+        # w * (dw - sum(w * dw)), formed in dw's buffer
+        cut = live(g)
+        if "s" not in cut:
+            s = np.matmul(cut["g"], vh.transpose(0, 2, 1))
+            s -= (cut["w"] * s).sum(axis=-1, keepdims=True)
+            s *= cut["w"]
+            cut["s"] = s
+        return cut["r"], cut["s"]
+
+    def dq(g):
+        r, s = softmax_back(g)
+        full = np.zeros((n, dim))
+        full[:r] = _merge_heads(np.matmul(s, kh))
+        return full
+
+    def dk(g):
+        r, s = softmax_back(g)
+        return _merge_heads(np.matmul(qh[:, :r].transpose(0, 2, 1), s).transpose(0, 2, 1))
+
+    def dv(g):
+        cut = live(g)
+        return _merge_heads(np.matmul(cut["w"].transpose(0, 2, 1), cut["g"]))
+
+    return node(_merge_heads(z), (q, k, v), dq, dk, dv)
+
+
+def _rows(g):
+    return g.reshape(1, -1) if g.ndim == 1 else g
 
 
 def linear(x, w, b=None):
     """x @ w (+ b) as one node. Accepts a 1-D or 2-D x; w is (in, out).
 
     The forward does what a matmul node and an add node did, in the same
-    order (a 1-D x is multiplied as one row), and the backward gives x, w
-    and b one adjoint each; b's sums the rows, as ``_unbroadcast`` does.
+    order (a 1-D x is multiplied as one row), and x, w and b get one
+    adjoint each; b's sums the rows, as ``_unbroadcast`` does.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim not in (1, 2) or w.data.ndim != 2 or x.shape[-1] != w.shape[0]:
@@ -491,38 +401,26 @@ def linear(x, w, b=None):
     y = x2 @ w.data
     if x.data.ndim == 1:
         y = y.reshape(w.shape[1])
-    parents = (x, w)
-    if b is not None:
-        b = as_tensor(b)
-        _broadcast_shape(y.shape, b.shape)
-        y = y + b.data
-        parents = (x, w, b)
 
-    def backward(out):
-        g = out.grad
-        g2 = g.reshape(1, -1) if g.ndim == 1 else g
-        if x.requires_grad:
-            x._accumulate((g2 @ w.data.T).reshape(x.shape))
-        if w.requires_grad:
-            w._accumulate(x2.T @ g2)
-        if b is not None and b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+    def dx(g):
+        return (_rows(g) @ w.data.T).reshape(x.shape)
 
-    return _result(y, parents, backward)
+    def dw(g):
+        return x2.T @ _rows(g)
+
+    if b is None:
+        return node(y, (x, w), dx, dw)
+    b = as_tensor(b)
+    _broadcast_shape(y.shape, b.shape)
+    return node(y + b.data, (x, w, b), dx, dw, lambda g: _unbroadcast(g, b.shape))
 
 
 def rearrange(a, split, axes, shape):
     """``a.reshape(split).transpose(axes).reshape(shape)`` as one node."""
     a = as_tensor(a)
-    old = a.shape
-    inv = np.argsort(axes)
     moved = tuple(split[i] for i in axes)
-
-    def backward(out):
-        if a.requires_grad:
-            a._accumulate(out.grad.reshape(moved).transpose(inv).reshape(old))
-
-    return _result(a.data.reshape(split).transpose(axes).reshape(shape), (a,), backward)
+    return node(a.data.reshape(split).transpose(axes).reshape(shape), (a,),
+                lambda g: g.reshape(moved).transpose(np.argsort(axes)).reshape(a.shape))
 
 
 def embedding_lookup(table, index):
@@ -530,21 +428,14 @@ def embedding_lookup(table, index):
     index = int(index)
     if not 0 <= index < table.shape[0]:
         raise IndexError(f"embedding index {index} out of range for table {table.shape}")
-
-    def backward(out):
-        if table.requires_grad:
-            g = np.zeros_like(table.data)
-            g[index] = out.grad
-            table._accumulate(g)
-
-    return _result(table.data[index], (table,), backward)
+    return node(table.data[index], (table,), lambda g: _scatter(table.data, index, g))
 
 
 # ---------------------------------------------------------------------------
 # backward pass
 
 
-def _consumed(node):
+def _consumed(t):
     raise ContractError("graph already consumed by backward; run the forward pass again")
 
 
@@ -556,27 +447,30 @@ def backward(loss):
     seen = set()
     stack = [(loss, False)]
     while stack:
-        node, expanded = stack.pop()
+        t, expanded = stack.pop()
         if expanded:
-            topo.append(node)
+            topo.append(t)
             continue
-        if id(node) in seen or not node.requires_grad:
+        if id(t) in seen or not t.requires_grad:
             continue
-        if node._backward is _consumed:
-            _consumed(node)
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
+        if t._adjoints is _consumed:
+            _consumed(t)
+        seen.add(id(t))
+        stack.append((t, True))
+        for p in t._parents:
             stack.append((p, False))
 
     loss._accumulate(np.ones_like(loss.data))
     while topo:  # reverse topological order; popping drops the walk's reference
-        node = topo.pop()
-        if node._backward is not None:
-            node._backward(node)
-            node.grad = None
-            node._backward = _consumed
-            node._parents = ()
+        t = topo.pop()
+        if t._adjoints is not None:
+            g = t.grad
+            for p, adjoint in zip(t._parents, t._adjoints):
+                if p.requires_grad:
+                    p._accumulate(adjoint(g))
+            t.grad = None
+            t._adjoints = _consumed
+            t._parents = ()
 
 
 def zero_grads(tensors):

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 usage error (bad arguments, phantom generation
 or domain errors), 3 config, data or checkpoint error (truncated or
-malformed archives included), 4 numerical failure.
+malformed archives and JSON that is not UTF-8 included), 4 numerical
+failure. A config is validated before its command writes anything.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ def cmd_generate(args):
     cfg = PhantomConfig.from_dict(_load_json(args.config)) if args.config else PhantomConfig()
     if args.seed is not None:
         cfg.master_seed = args.seed
+    cfg.validate()
     _check_out_dir(args.out, args.force)
     manifest_path = generate_dataset(cfg, args.out)
     _write_run_manifest(args.out, "generate", args, cfg.master_seed, started, [manifest_path])
@@ -78,6 +80,7 @@ def cmd_train(args):
         cfg.epochs = args.epochs
     if args.ablation is not None:
         cfg.ablation = args.ablation
+    cfg.validate()
     _check_out_dir(args.out, args.force)
     result = train(cfg, args.data, args.out)
     _write_run_manifest(args.out, "train", args, cfg.seed, started,
@@ -165,6 +168,7 @@ def cmd_ablate(args):
         cfg.seed = args.seed
     if args.epochs is not None:
         cfg.epochs = args.epochs
+    cfg.validate()
     _check_out_dir(args.out, args.force)
     rows = run_ablation(cfg, args.data, args.out)
     json_path = os.path.join(args.out, "ablation.json")
@@ -243,7 +247,8 @@ def main(argv=None):
     except (GenerationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ConfigError, ContractError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, ContractError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except NumericalError as exc:

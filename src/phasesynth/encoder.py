@@ -28,6 +28,9 @@ class EncoderConfig:
     depth: int = 2
 
     def validate(self, image_size):
+        if min(image_size, self.patch_size, self.embed_dim) < 1 or self.depth < 0:
+            raise ConfigError("image_size, patch_size and embed_dim must be positive "
+                              "and depth non-negative")
         if image_size % self.patch_size != 0:
             raise ConfigError(f"image size {image_size} not divisible by patch size {self.patch_size}")
         if self.embed_dim % 2 != 0:

@@ -34,7 +34,7 @@ def syn_loss(pred_images, gt_images):
     if len(pred_images) != len(gt_images):
         raise ContractError("phase count mismatch")
     preds = [ad.as_tensor(p) for p in pred_images]
-    diffs = []
+    adjoints = []
     total = np.float64(0.0)
     for pred, gt in zip(preds, gt_images):
         gt = np.asarray(gt, dtype=np.float64)
@@ -42,13 +42,8 @@ def syn_loss(pred_images, gt_images):
             raise ContractError(f"image shape mismatch: {pred.shape} vs {gt.shape}")
         d = pred.data - gt
         total = total + np.abs(d).mean()
-        diffs.append(d)
-
-    def adjoints(g):
-        for d in diffs:
-            yield (g / d.size) * np.sign(d)
-
-    return ad.node(total, preds, adjoints)
+        adjoints.append(lambda g, d=d: (g / d.size) * np.sign(d))
+    return ad.node(total, preds, *adjoints)
 
 
 def _dice_bce(logits, target, t_sum, weights):
@@ -93,21 +88,16 @@ def seg_loss(seg_logits_per_phase, gt_mask, weights):
         raise ContractError("segmentation ground truth must be binary")
     logits = [ad.as_tensor(t) for t in seg_logits_per_phase]
     t_sum = float(gt.sum())
+    scale = 1.0 / len(logits)
     total = np.float64(0.0)
-    backs = []
+    adjoints = []
     for t in logits:
         if t.shape != gt.shape:
             raise ContractError(f"mask shape mismatch: {t.shape} vs {gt.shape}")
         term, adjoint = _dice_bce(t.data, gt, t_sum, weights)
         total = total + term
-        backs.append(adjoint)
-    scale = 1.0 / len(logits)
-
-    def adjoints(g):
-        for adjoint in backs:
-            yield adjoint(g * scale)
-
-    return ad.node(total * scale, logits, adjoints)
+        adjoints.append(lambda g, adjoint=adjoint: adjoint(g * scale))
+    return ad.node(total * scale, logits, *adjoints)
 
 
 def cls_loss(class_probs, label):

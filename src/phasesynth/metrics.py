@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ContractError
-from .model import ModelConfig, param_shapes, run_autoregressive
+from .model import ABLATIONS, ModelConfig, param_shapes, run_autoregressive
 from .phantom import PHASE_NAMES, load_case, load_manifest
 from .tensorio import load_archive
 
@@ -206,6 +206,10 @@ def load_checkpoint(path):
         expected = param_shapes(cfg)
     except (KeyError, TypeError, ValueError) as exc:
         raise ContractError(f"{path}: missing or malformed model config ({exc!r})") from None
+    ablation = meta["config"].get("ablation", "full")
+    if not isinstance(ablation, str) or ablation not in ABLATIONS:
+        raise ContractError(f"{path}: checkpoint ablation {ablation!r} is not one of "
+                            f"{sorted(ABLATIONS)}")
     missing = sorted(expected.keys() - arrays.keys())
     extra = sorted(arrays.keys() - expected.keys())
     if missing or extra:

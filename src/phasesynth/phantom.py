@@ -90,17 +90,23 @@ class PhantomConfig:
 
     def validate(self):
         if self.case_count < 2:
-            raise GenerationError("case_count must be at least 2")
+            raise ConfigError("case_count must be at least 2")
         if not 0.0 < self.class_balance < 1.0:
-            raise GenerationError("class_balance must lie in (0,1)")
+            raise ConfigError("class_balance must lie in (0,1)")
         if self.image_size < 16:
-            raise GenerationError("image_size too small")
+            raise ConfigError("image_size too small")
+        if not _increasing_unit_times(self.times):
+            raise ConfigError("times must be strictly increasing in (0,1]")
+        # _draw_spec keeps every lesion 3 pixels inside the image
+        lo, hi = self.radius
+        if not (0.0 < lo <= hi and hi + 3.0 <= (self.image_size - 1) / 2):
+            raise ConfigError("radius needs 0 < low <= high and high + 3 <= (image_size - 1) / 2")
         if not 0.0 <= self.time_jitter <= 1.0:
-            raise GenerationError("time_jitter outside [0,1]")
+            raise ConfigError("time_jitter outside [0,1]")
         # the slack lets decimal fractions such as (0.70, 0.15, 0.15) through
         if not (all(f >= 0.0 for f in self.split_fractions)
                 and math.fsum(self.split_fractions) <= 1.0 + 1e-9):
-            raise GenerationError("split_fractions must be non-negative and sum to at most 1")
+            raise ConfigError("split_fractions must be non-negative and sum to at most 1")
 
     @classmethod
     def from_dict(cls, d):

@@ -519,3 +519,18 @@ def test_dtam_attention_backward_over_live_rows(live):
     if live == "all_zero":
         for g in (dq, dk, dv):
             assert g.shape in ((n, dim), (nk, dim)) and not g.any()
+
+
+def test_backward_calls_no_adjoint_of_a_parent_without_a_gradient():
+    def refuse(g):
+        raise AssertionError("adjoint of a constant parent was called")
+
+    x = ad.Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
+    const = ad.Tensor(rng.uniform(-1, 1, (2, 3)))
+    out = ad.node(x.data * const.data, (const, x), refuse, lambda g: g * const.data)
+    assert out.requires_grad and out._parents == (const, x)
+    ad.backward(ad.reduce_sum(out))
+    np.testing.assert_array_equal(x.grad, const.data)
+    assert const.grad is None
+    # without any parent that requires a gradient the node stays off the tape
+    assert ad.node(const.data, (const,), refuse)._parents == ()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import phasesynth
-from phasesynth.cli import DATA_ERROR, USAGE_ERROR, main
+from phasesynth.cli import DATA_ERROR, main
 from phasesynth.tensorio import load_archive, save_archive
 
 PHANTOM_CFG = {"case_count": 12, "master_seed": 7,
@@ -50,21 +50,28 @@ def test_generate_refuses_nonempty_without_force(workspace):
                  "--out", str(workspace["data"])]) == DATA_ERROR
 
 
-def test_generate_invalid_config_is_usage_error(tmp_path):
+@pytest.mark.parametrize("config", [{"case_count": 1}, {"times": [0.5, 0.2, 0.9]},
+                                    {"radius": [40, 50]}, {"radius": [0, 5]},
+                                    {"radius": [8, 5]}],
+                         ids=["case_count_1", "times_unsorted", "radius_40_50", "radius_0_5",
+                              "radius_8_5"])
+def test_generate_out_of_range_config_is_data_error(tmp_path, config, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"case_count": 1}))
-    assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "d")]) \
-        == USAGE_ERROR
+    bad.write_text(json.dumps(config))
+    out = tmp_path / "d"
+    assert main(["generate", "--config", str(bad), "--out", str(out)]) == DATA_ERROR
+    assert next(iter(config)) in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fractions", [[0.5, 0.8, 0.0], [-0.2, 0.1, 0.0]])
-def test_generate_bad_split_fractions_is_usage_error(tmp_path, fractions, capsys):
+def test_generate_bad_split_fractions_is_data_error(tmp_path, fractions, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"case_count": 10, "split_fractions": fractions}))
     out = tmp_path / "d"
-    assert main(["generate", "--config", str(bad), "--out", str(out)]) == USAGE_ERROR
+    assert main(["generate", "--config", str(bad), "--out", str(out)]) == DATA_ERROR
     assert "split_fractions" in capsys.readouterr().err
-    assert not (out / "manifest.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("config", [{"times": 5}, {"times": [0.1, 0.5]},
@@ -92,6 +99,42 @@ def test_train_malformed_config_is_data_error(workspace, tmp_path, config, capsy
     assert main(["train", "--config", str(bad), "--data", str(workspace["data"]),
                  "--out", str(out)]) == DATA_ERROR
     assert "train config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", [{"head_count": 0}, {"head_count": -1}, {"patch_size": 0},
+                                   {"patch_size": -8}, {"embed_dim": 0}, {"depth": -1},
+                                   {"image_size": -64}])
+def test_train_nonpositive_model_size_is_data_error(workspace, tmp_path, model, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**TRAIN_CFG, "model": model}))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(bad), "--data", str(workspace["data"]),
+                 "--out", str(out)]) == DATA_ERROR
+    assert "must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _write_not_utf8(path):
+    path.write_bytes(b'{"case_count": 10, "note": "\xff"}')
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "evaluate"])
+def test_json_input_that_is_not_utf8_is_data_error(workspace, tmp_path, command, capsys):
+    out = tmp_path / "out"
+    bad = tmp_path / "bad.json"
+    _write_not_utf8(bad)
+    if command == "generate":
+        argv = ["generate", "--config", str(bad)]
+    elif command == "train":
+        argv = ["train", "--config", str(bad), "--data", str(workspace["data"])]
+    else:  # the manifest.json of the dataset
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        _write_not_utf8(data / "manifest.json")
+        argv = ["evaluate", "--checkpoint", str(workspace["checkpoint"]), "--data", str(data)]
+    assert main(argv + ["--out", str(out)]) == DATA_ERROR
+    assert "utf-8" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -153,18 +196,43 @@ def _no_config(meta):
     del meta["config"]
 
 
+def _zero_head_count(meta):
+    meta["config"]["model"]["head_count"] = 0
+
+
+def _zero_patch_size(meta):
+    meta["config"]["model"]["patch_size"] = 0
+
+
 @pytest.mark.parametrize("command", ["evaluate", "synthesize"])
-@pytest.mark.parametrize("damage", [_drop_image_size, _model_not_a_dict, _no_config])
+@pytest.mark.parametrize("damage", [_drop_image_size, _model_not_a_dict, _no_config,
+                                    _zero_head_count, _zero_patch_size])
 def test_checkpoint_without_model_config_is_data_error(workspace, tmp_path, command,
                                                        damage, capsys):
     arrays, meta = load_archive(workspace["checkpoint"])
     damage(meta)
     broken = tmp_path / "broken.ntar"
     save_archive(broken, arrays, meta=meta)
+    out = tmp_path / "out"
     assert main([command, "--checkpoint", str(broken),
-                 "--data", str(workspace["data"]),
-                 "--out", str(tmp_path / "out")]) == DATA_ERROR
+                 "--data", str(workspace["data"]), "--out", str(out)]) == DATA_ERROR
     assert "model config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "synthesize"])
+@pytest.mark.parametrize("ablation", [[], {}, "no_tcc"], ids=["list", "dict", "unknown"])
+def test_checkpoint_ablation_must_be_a_known_name(workspace, tmp_path, command, ablation,
+                                                  capsys):
+    arrays, meta = load_archive(workspace["checkpoint"])
+    meta["config"]["ablation"] = ablation
+    broken = tmp_path / "broken.ntar"
+    save_archive(broken, arrays, meta=meta)
+    out = tmp_path / "out"
+    assert main([command, "--checkpoint", str(broken),
+                 "--data", str(workspace["data"]), "--out", str(out)]) == DATA_ERROR
+    assert "ablation" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _drop_q_w(arrays):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasesynth.errors import ContractError, DomainError, GenerationError
+from phasesynth.errors import ConfigError, ContractError, DomainError, GenerationError
 from phasesynth.phantom import (CASE_TENSORS, DEFAULT_TIMES, PARENCHYMA_RATE,
                                 CaseRecord, LesionSpec, PhantomConfig, assign_splits,
                                 enhancement_curve, generate_case,
@@ -222,16 +222,34 @@ def test_generate_dataset_writes_one_archive_per_case(tmp_path):
 
 
 def test_config_validation():
-    with pytest.raises(GenerationError):
+    with pytest.raises(ConfigError):
         PhantomConfig(case_count=1).validate()
-    with pytest.raises(GenerationError):
+    with pytest.raises(ConfigError):
         PhantomConfig(class_balance=0.0).validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("times", (0.5, 0.2, 0.9)), ("times", (0.0, 0.5, 1.0)), ("times", (0.2, 0.5, 1.2)),
+    ("radius", (0.0, 5.0)), ("radius", (8.0, 5.0)), ("radius", (29.0, 29.0)),
+])
+def test_config_validation_checks_times_and_radius(field, value):
+    with pytest.raises(ConfigError, match=field):
+        PhantomConfig(**{field: value}).validate()
+
+
+def test_radius_at_its_bound_generates(tmp_path):
+    # high + 3 == (image_size - 1) / 2: a lesion centre has one possible value
+    generate_dataset(PhantomConfig(image_size=31, case_count=2, radius=(12.0, 12.0)),
+                     str(tmp_path))
+    assert len(load_manifest(str(tmp_path))["cases"]) == 2
+    with pytest.raises(ConfigError, match="radius"):
+        PhantomConfig(image_size=31, radius=(12.0, 12.5)).validate()
 
 
 @pytest.mark.parametrize("fractions", [(0.5, 0.8, 0.0), (-0.2, 0.1, 0.0)])
 def test_split_fractions_validated(fractions):
     # (0.5, 0.8, 0.0) used to give 100/100/0 of 200 cases, (-0.2, 0.1, 0.0) all 200 to test
-    with pytest.raises(GenerationError, match="split_fractions"):
+    with pytest.raises(ConfigError, match="split_fractions"):
         PhantomConfig(split_fractions=fractions).validate()
 
 
@@ -288,7 +306,7 @@ def test_sample_times_rejects_bad_base():
 
 
 def test_time_jitter_config_validation():
-    with pytest.raises(GenerationError):
+    with pytest.raises(ConfigError):
         PhantomConfig(time_jitter=1.5).validate()
 
 
