@@ -25,13 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, ContractError
+from .config import Config
+from .errors import ConfigError
 
 
 @dataclass
-class DtamConfig:
+class DtamConfig(Config):
     sigma: float = 0.7
     head_count: int = 4
+    noun = "dtam config"
 
     def validate(self, embed_dim):
         if self.sigma <= 0:
@@ -63,28 +65,15 @@ def decay_log_bias(times_q, times_k, sigma):
     return small.take(iq, axis=0).take(ik, axis=1)
 
 
-def dtam_weights(queries, keys, times_q, times_k, sigma, use_decay=True):
-    """Row-stochastic attention weights with Gaussian time decay.
-
-    queries: (nq, d), keys: (nk, d); times are per-token stamps. The key
-    set must already be restricted to the causal past.
-    """
-    if keys.shape[0] == 0:
-        raise ContractError("empty key set")
-    bias = decay_log_bias(times_q, times_k, sigma) if use_decay else None
-    return ad.softmax_last_axis(ad.matmul(queries, ad.transpose(keys)), bias=bias)
-
-
 def mmhsa_block(tokens, token_times, cfg, params, use_decay=True, record=None):
     """Masked multi-head self-attention with position encoding and residual.
 
-    tokens: (n, D) assembled input; token_times: per-token time stamps.
-    Returns the updated (n, D) sequence (attention output + residual).
-    With ``record`` a dict, ``record["weights"]`` receives each head's
-    (n, n) attention weights.
+    tokens: (n, D) assembled input; token_times: per-token time stamps;
+    cfg: any validated config with ``sigma`` and ``head_count``. Returns
+    the updated (n, D) sequence (attention output + residual). With
+    ``record`` a dict, ``record["weights"]`` receives each head's weights.
     """
-    n, dim = tokens.shape
-    cfg.validate(dim)
+    n = tokens.shape[0]
 
     h = ad.linear(tokens, params["att.in_w"], params["att.in_b"])
     # absolute sequence positions: the current block always occupies the

@@ -22,7 +22,7 @@ from .metrics import evaluate
 from .model import run_autoregressive
 from .phantom import PHASE_NAMES, PhantomConfig, generate_dataset, load_case, load_manifest
 from .tensorio import save_pgm
-from .training import TrainConfig, format_ablation_table, run_ablation, train
+from .training import ABLATION_ORDER, TrainConfig, format_ablation_table, run_ablation, train
 
 USAGE_ERROR = 2
 DATA_ERROR = 3
@@ -35,9 +35,10 @@ def _load_json(path):
 
 
 def _check_out_dir(path, force):
+    """Refuse a non-empty ``path`` without ``--force``; the command itself creates
+    the directory when it first writes, so a data error leaves nothing behind."""
     if os.path.isdir(path) and os.listdir(path) and not force:
         raise ConfigError(f"output directory {path!r} is not empty (use --force to overwrite)")
-    os.makedirs(path, exist_ok=True)
 
 
 def _write_run_manifest(out_dir, command, args, seed, started, outputs):
@@ -52,6 +53,7 @@ def _write_run_manifest(out_dir, command, args, seed, started, outputs):
     for p in manifest["outputs"]:
         if not os.path.exists(p):
             raise ContractError(f"run manifest names missing output {p}")
+    os.makedirs(out_dir, exist_ok=True)  # synthesize over an empty split writes only this
     tmp = os.path.join(out_dir, "run_manifest.json.tmp")
     with open(tmp, "w") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
@@ -137,6 +139,7 @@ def cmd_synthesize(args):
         record = [] if args.dump_attention else None
         bundle = run_autoregressive(case.ncmri, case.tumor_mask, case.times,
                                     params, cfg, ablation=ablation, record=record)
+        os.makedirs(args.out, exist_ok=True)
         cid = entry["id"]
         for name, po in zip(PHASE_NAMES, bundle.phase_outputs):
             path = os.path.join(args.out, f"{cid}_phase_{name}.pgm")
@@ -206,7 +209,7 @@ def build_parser():
     p.add_argument("--config", help="TrainConfig JSON")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--ablation", choices=("full", "no_dtam", "no_cte", "no_t_encoding", "baseline"))
+    p.add_argument("--ablation", choices=ABLATION_ORDER)
     p.add_argument("--epochs", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--force", action="store_true")

@@ -16,28 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, ContractError, DomainError
+from .errors import ContractError, DomainError
 
 PHASE_INDEX = {"art": 0, "pv": 1, "delay": 2}
-
-
-@dataclass
-class EncoderConfig:
-    patch_size: int = 8
-    embed_dim: int = 64
-    depth: int = 2
-
-    def validate(self, image_size):
-        if min(image_size, self.patch_size, self.embed_dim) < 1 or self.depth < 0:
-            raise ConfigError("image_size, patch_size and embed_dim must be positive "
-                              "and depth non-negative")
-        if image_size % self.patch_size != 0:
-            raise ConfigError(f"image size {image_size} not divisible by patch size {self.patch_size}")
-        if self.embed_dim % 2 != 0:
-            raise ConfigError("embed_dim must be even")
-
-    def token_count(self, image_size):
-        return (image_size // self.patch_size) ** 2
 
 
 @dataclass
@@ -86,13 +67,13 @@ def neighbor_mix_matrix(grid):
 
 
 def encode_features(ncmri, tumor_mask, cfg, params):
-    """(ncmri, mask) -> token grid t_OT of shape (N, D)."""
+    """(ncmri, mask), both cfg.image_size square -> token grid t_OT of shape (N, D)."""
     ncmri = np.asarray(ncmri, dtype=np.float64)
     tumor_mask = np.asarray(tumor_mask, dtype=np.float64)
-    if ncmri.shape != tumor_mask.shape:
-        raise ContractError(f"image/mask shape mismatch: {ncmri.shape} vs {tumor_mask.shape}")
-    cfg.validate(ncmri.shape[0])
-    grid = ncmri.shape[0] // cfg.patch_size
+    if ncmri.shape != (cfg.image_size,) * 2 or tumor_mask.shape != ncmri.shape:
+        raise ContractError(f"image {ncmri.shape} and mask {tumor_mask.shape} must both be "
+                            f"{(cfg.image_size,) * 2}, the model's image size")
+    grid = cfg.image_size // cfg.patch_size
     # third channel: image gated by the mask, so lesion-interior intensity
     # reaches the tokens free of any background contribution
     patches = ad.Tensor(patchify([ncmri, tumor_mask, ncmri * tumor_mask], cfg.patch_size))
@@ -116,14 +97,13 @@ def phase_embedding(phase, params):
     return ad.embedding_lookup(params["enc.phase_table"], idx)
 
 
-def build_conditional_token(t_ot, phase, t, cfg, params, omega=math.pi,
-                            use_phase=True, use_time=True):
+def build_conditional_token(t_ot, phase, t, cfg, params, use_phase=True, use_time=True):
     """Assemble [t_OT, fused(phase, time)] for one synthesis step.
 
     use_phase / use_time implement the conditioning ablations: with both
     off the sequence is the bare token grid.
     """
-    t_enc = time_encoding(t, omega)  # validates t on every path
+    t_enc = time_encoding(t, cfg.omega)  # validates t on every path
     if not (use_phase or use_time):
         return ConditionalToken(tokens=t_ot, time=t)
     t_phase = phase_embedding(phase, params)

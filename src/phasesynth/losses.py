@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .config import Config
 from .errors import ContractError, NumericalError
 
 DICE_EPS = 1e-6
@@ -15,11 +16,12 @@ PROB_CLAMP = 1e-7
 
 
 @dataclass
-class LossWeights:
+class LossWeights(Config):
     dice: float = 1.0
     ce: float = 1.0
     cls: float = 1.0
     tcc: float = 1.0
+    noun = "loss weights"
 
     def validate(self):
         if min(self.dice, self.ce, self.cls, self.tcc) < 0:

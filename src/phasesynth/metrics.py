@@ -202,10 +202,14 @@ def load_checkpoint(path):
     names and shapes ``param_shapes`` gives for the stored model config."""
     arrays, meta = load_archive(path)
     try:
-        cfg = ModelConfig.from_echo(meta["config"]["model"])
+        cfg = ModelConfig.from_dict(meta["config"]["model"], complete=True)
         expected = param_shapes(cfg)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ContractError(f"{path}: missing or malformed model config ({exc!r})") from None
+        # an archive from an earlier model version: name what it holds beyond today's
+        stale = sorted(arrays.keys() - param_shapes(ModelConfig()).keys())
+        raise ContractError(f"{path}: missing or malformed model config ({exc!r})"
+                            + (f"; tensors the default model lacks: {stale}" if stale else "")
+                            ) from None
     ablation = meta["config"].get("ablation", "full")
     if not isinstance(ablation, str) or ablation not in ABLATIONS:
         raise ContractError(f"{path}: checkpoint ablation {ablation!r} is not one of "

@@ -11,16 +11,17 @@ updated conditional block as context for later phases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import tcc as tcc_mod
 from .attention import DtamConfig, mmhsa_block
-from .encoder import EncoderConfig, build_conditional_token, encode_features
-from .errors import ContractError
-from .phantom import PHASE_NAMES, integral
+from .config import Config
+from .encoder import build_conditional_token, encode_features
+from .errors import ConfigError, ContractError
+from .phantom import PHASE_NAMES
 
 # ablation -> (gaussian decay, phase token, time token, TCC participates)
 ABLATIONS = {
@@ -33,36 +34,26 @@ ABLATIONS = {
 
 
 @dataclass
-class ModelConfig:
+class ModelConfig(Config):
     image_size: int = 64
-    encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    dtam: DtamConfig = field(default_factory=DtamConfig)
-    omega: float = math.pi
+    patch_size: int = 8  # CTE patch side
+    embed_dim: int = 64  # token width
+    depth: int = 2  # neighbour-mixing stages of the patch encoder
+    sigma: float = 0.7  # DTAM Gaussian-decay width
+    head_count: int = 4
+    omega: float = math.pi  # time-encoding frequency
+    noun = "model config"
 
     def validate(self):
-        self.encoder.validate(self.image_size)
-        self.dtam.validate(self.encoder.embed_dim)
-
-    def echo(self):
-        return {
-            "image_size": self.image_size,
-            "patch_size": self.encoder.patch_size,
-            "embed_dim": self.encoder.embed_dim,
-            "depth": self.encoder.depth,
-            "sigma": self.dtam.sigma,
-            "head_count": self.dtam.head_count,
-            "omega": self.omega,
-        }
-
-    @classmethod
-    def from_echo(cls, d):
-        return cls(
-            image_size=integral(d["image_size"]),
-            encoder=EncoderConfig(integral(d["patch_size"]), integral(d["embed_dim"]),
-                                  integral(d["depth"])),
-            dtam=DtamConfig(float(d["sigma"]), integral(d["head_count"])),
-            omega=float(d["omega"]),
-        )
+        if min(self.image_size, self.patch_size, self.embed_dim) < 1 or self.depth < 0:
+            raise ConfigError("image_size, patch_size and embed_dim must be positive "
+                              "and depth non-negative")
+        if self.image_size % self.patch_size != 0:
+            raise ConfigError(f"image size {self.image_size} not divisible by "
+                              f"patch size {self.patch_size}")
+        if self.embed_dim % 2 != 0:
+            raise ConfigError("embed_dim must be even")
+        DtamConfig(self.sigma, self.head_count).validate(self.embed_dim)
 
 
 @dataclass
@@ -102,9 +93,9 @@ def _group_average_map(n_in, n_out):
 def param_shapes(cfg):
     """{name: shape} of the parameters ``init_params(cfg, rng)`` makes, drawing nothing."""
     cfg.validate()
-    d = cfg.encoder.embed_dim
-    p2 = cfg.encoder.patch_size ** 2
-    n = cfg.encoder.token_count(cfg.image_size)
+    d = cfg.embed_dim
+    p2 = cfg.patch_size ** 2
+    n = (cfg.image_size // cfg.patch_size) ** 2
     shapes = {
         "enc.patch_w": (3 * p2, d), "enc.patch_b": (d,),
         "enc.proj_w": (d, d), "enc.proj_b": (d,),
@@ -115,7 +106,7 @@ def param_shapes(cfg):
         "dec.img_w": (d, p2), "dec.img_b": (p2,), "dec.seg_w": (d, p2), "dec.seg_b": (p2,),
         "cls.fuse_w": (4 * d, 2), "cls.fuse_b": (2,), "cls.aux_w": (d, 1), "cls.aux_b": (1,),
     }
-    for s in range(cfg.encoder.depth):
+    for s in range(cfg.depth):
         shapes[f"enc.mix{s}_w"] = (d, d)
         shapes[f"enc.mix{s}_b"] = (d,)
     return shapes
@@ -141,10 +132,10 @@ def init_params(cfg, rng):
     grow out of zero.
     """
     cfg.validate()
-    d = cfg.encoder.embed_dim
-    p2 = cfg.encoder.patch_size ** 2
-    n = cfg.encoder.token_count(cfg.image_size)
-    head_dim = d // cfg.dtam.head_count
+    d = cfg.embed_dim
+    p2 = cfg.patch_size ** 2
+    n = (cfg.image_size // cfg.patch_size) ** 2
+    head_dim = d // cfg.head_count
     half = d // 2
     mq = d // 4
     gate_n = d // 8
@@ -233,7 +224,7 @@ def init_params(cfg, rng):
     }
     # unused draws, as many as the TCC signal network once took, keep enc.mix* init bit-identical
     rng.normal(size=256 * d + 41_280)
-    for s in range(cfg.encoder.depth):
+    for s in range(cfg.depth):
         arrays[f"enc.mix{s}_w"] = normal((d, d), 0.02)
         arrays[f"enc.mix{s}_b"] = np.zeros(d)
     return {name: ad.Tensor(a, requires_grad=True) for name, a in arrays.items()}
@@ -259,19 +250,18 @@ def synthesize_phase(index, cond, prior_blocks, cfg, params, use_decay=True, rec
         + [np.full(b.shape[0], t) for b, t in prior_blocks])
     tokens = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=0)
 
-    out = mmhsa_block(tokens, times, cfg.dtam, params, use_decay=use_decay, record=record)
+    out = mmhsa_block(tokens, times, cfg, params, use_decay=use_decay, record=record)
     n_cond = cond.tokens.shape[0]
     block = ad.slice_axis(out, 0, 0, n_cond)
 
-    n_img = cfg.encoder.token_count(cfg.image_size)
-    grid = cfg.image_size // cfg.encoder.patch_size
-    img_tokens = ad.slice_axis(block, 0, 0, n_img)
+    grid = cfg.image_size // cfg.patch_size
+    img_tokens = ad.slice_axis(block, 0, 0, grid * grid)
     image = ad.sigmoid(_depatchify(
         ad.linear(img_tokens, params["dec.img_w"], params["dec.img_b"]),
-        grid, cfg.encoder.patch_size))
+        grid, cfg.patch_size))
     seg = _depatchify(
         ad.linear(img_tokens, params["dec.seg_w"], params["dec.seg_b"]),
-        grid, cfg.encoder.patch_size)
+        grid, cfg.patch_size)
     feature = ad.reduce_mean(block, axis=0)
     return PhaseOutput(image=image, seg_logits=seg, feature=feature), block
 
@@ -312,15 +302,14 @@ def run_autoregressive(ncmri, mask, times, params, cfg, ablation="full", record=
     use_decay, use_phase, use_time, _ = ABLATIONS[ablation]
     times = tuple(times)
 
-    t_ot = encode_features(ncmri, mask, cfg.encoder, params)
+    t_ot = encode_features(ncmri, mask, cfg, params)
     pooled = ad.reduce_mean(t_ot, axis=0)
 
     phase_outputs = []
     blocks = []
     for i, (name, t) in enumerate(zip(PHASE_NAMES, times)):
-        cond = build_conditional_token(
-            t_ot, name, t, cfg.encoder, params, omega=cfg.omega,
-            use_phase=use_phase, use_time=use_time)
+        cond = build_conditional_token(t_ot, name, t, cfg, params,
+                                       use_phase=use_phase, use_time=use_time)
         rec = {} if record is not None else None
         po, block = synthesize_phase(i, cond, blocks, cfg, params,
                                      use_decay=use_decay, record=rec)

@@ -15,10 +15,11 @@ import functools
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Config
 from .errors import ConfigError, ContractError, DomainError, GenerationError
 from .tensorio import load_archive, save_archive
 
@@ -73,7 +74,7 @@ class CaseRecord:
 
 
 @dataclass
-class PhantomConfig:
+class PhantomConfig(Config):
     image_size: int = 64
     case_count: int = 200
     class_balance: float = 0.5  # malignant fraction
@@ -87,6 +88,7 @@ class PhantomConfig:
     time_jitter: float = 1.0  # 0 = every case at the nominal times
     master_seed: int = 42
     split_fractions: tuple = (0.70, 0.15, 0.15)
+    noun = "phantom config"
 
     def validate(self):
         if self.case_count < 2:
@@ -101,47 +103,22 @@ class PhantomConfig:
         lo, hi = self.radius
         if not (0.0 < lo <= hi and hi + 3.0 <= (self.image_size - 1) / 2):
             raise ConfigError("radius needs 0 < low <= high and high + 3 <= (image_size - 1) / 2")
+        for name in ("benign_intensity", "malignant_intensity", "amplitude", "background"):
+            lo, hi = getattr(self, name)
+            if not 0.0 <= lo <= hi <= 1.0:
+                raise ConfigError(f"{name} needs 0 <= low <= high <= 1")
+        # LesionSpec.validate asks this of every drawn lesion
+        if max(self.benign_intensity[1], self.malignant_intensity[1]) + self.amplitude[1] > 1.0:
+            raise ConfigError("amplitude high plus the larger benign_intensity or "
+                              "malignant_intensity high exceeds 1")
+        if not 0.0 <= self.noise_sigma <= 0.05:
+            raise ConfigError("noise_sigma outside [0, 0.05]")
         if not 0.0 <= self.time_jitter <= 1.0:
             raise ConfigError("time_jitter outside [0,1]")
         # the slack lets decimal fractions such as (0.70, 0.15, 0.15) through
         if not (all(f >= 0.0 for f in self.split_fractions)
                 and math.fsum(self.split_fractions) <= 1.0 + 1e-9):
             raise ConfigError("split_fractions must be non-negative and sum to at most 1")
-
-    @classmethod
-    def from_dict(cls, d):
-        """Known fields, cast to their default's type; tuples keep its length,
-        integer fields take only whole numbers, and an unknown key is an error."""
-        if not isinstance(d, dict):
-            raise ConfigError("phantom config must be a JSON object")
-        cfg = cls()
-        for key, raw in d.items():
-            if key not in cls.__dataclass_fields__:
-                raise ConfigError(f"phantom config {key!r}: unknown key")
-            default = getattr(cfg, key)
-            try:
-                if isinstance(default, tuple):
-                    value = tuple(map(float, raw))
-                elif isinstance(default, int):
-                    value = integral(raw)
-                else:
-                    value = type(default)(raw)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"phantom config {key!r}: {exc}") from None
-            if isinstance(default, tuple) and len(value) != len(default):
-                raise ConfigError(f"phantom config {key!r} needs {len(default)} values")
-            setattr(cfg, key, value)
-        return cfg
-
-
-def integral(value):
-    """``value`` as an int; ValueError unless it is a whole number (64.0 passes,
-    64.7, "64" and True do not), so a config value is never silently truncated."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"{value!r} is not an integer")
 
 
 def enhancement_curve(class_label, t, peak_time=DEFAULT_TIMES[0]):
@@ -308,7 +285,7 @@ def generate_dataset(cfg, out_dir):
 
     manifest = {
         "schema_version": MANIFEST_SCHEMA,
-        "config": asdict(cfg),
+        "config": cfg.echo(),
         "cases": cases,
     }
     manifest_path = os.path.join(out_dir, "manifest.json")

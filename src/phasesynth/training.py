@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .config import Config
 from .errors import ConfigError, NumericalError
 from .losses import (AdamState, LossWeights, adam_step, cls_loss, lr_at,
                      seg_loss, syn_loss, total_loss)
@@ -17,7 +18,7 @@ from .metrics import dice as dice_metric
 from .metrics import evaluate
 from .metrics import psnr as psnr_metric
 from .model import ABLATIONS, ModelConfig, init_params, run_autoregressive
-from .phantom import integral, load_case, load_manifest
+from .phantom import load_case, load_manifest
 from .tcc import tcc_loss
 from .tensorio import save_archive
 
@@ -25,7 +26,7 @@ ABLATION_ORDER = ("baseline", "no_dtam", "no_cte", "no_t_encoding", "full")
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Config):
     epochs: int = 100
     batch_size: int = 8
     base_lr: float = 1e-4
@@ -34,6 +35,7 @@ class TrainConfig:
     ablation: str = "full"
     weights: LossWeights = field(default_factory=LossWeights)
     model: ModelConfig = field(default_factory=ModelConfig)
+    noun = "train config"
 
     def validate(self):
         if self.base_lr <= 0:
@@ -46,48 +48,6 @@ class TrainConfig:
             raise ConfigError(f"unknown ablation {self.ablation!r}")
         self.weights.validate()
         self.model.validate()
-
-    def echo(self):
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "base_lr": self.base_lr,
-            "warmup_epochs": self.warmup_epochs,
-            "seed": self.seed,
-            "ablation": self.ablation,
-            "weights": {"dice": self.weights.dice, "ce": self.weights.ce,
-                        "cls": self.weights.cls, "tcc": self.weights.tcc},
-            "model": self.model.echo(),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        """The fields ``echo`` writes; integer fields take only whole numbers,
-        and an unknown key, here or in ``model``, is an error."""
-        if not isinstance(d, dict):
-            raise ConfigError("train config must be a JSON object")
-        cfg = cls()
-        casts = {"epochs": integral, "batch_size": integral, "base_lr": float,
-                 "warmup_epochs": integral, "seed": integral, "ablation": str,
-                 "weights": lambda w: LossWeights(**{k: float(v) for k, v in w.items()}),
-                 "model": lambda m: _model_config(cfg.model, m)}
-        for key, raw in d.items():
-            if key not in casts:
-                raise ConfigError(f"train config {key!r}: unknown key")
-            try:
-                setattr(cfg, key, casts[key](raw))
-            except (AttributeError, TypeError, ValueError) as exc:
-                raise ConfigError(f"train config {key!r}: {exc}") from None
-        return cfg
-
-
-def _model_config(default, m):
-    """ModelConfig from ``default`` updated by the entries of ``m``, all of them known."""
-    echo = default.echo()
-    unknown = sorted(m.keys() - echo.keys())
-    if unknown:
-        raise ValueError(f"unknown keys {unknown}")
-    return ModelConfig.from_echo({**echo, **m})
 
 
 def manifest_hash(data_dir):

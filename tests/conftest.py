@@ -1,9 +1,12 @@
-"""Shared fixtures and the finite-difference gradient checker."""
+"""Shared fixtures, the finite-difference gradient checker and the per-head
+attention reference."""
 
 import numpy as np
 import pytest
 
 from phasesynth import autodiff as ad
+from phasesynth.attention import decay_log_bias
+from phasesynth.errors import ContractError
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-4
@@ -55,6 +58,19 @@ def check_gradients(build_loss, arrays, rtol=FD_RTOL, step=FD_STEP, sample=None,
         scale = np.maximum(np.abs(picked) + np.abs(numeric), 1.0)
         err = np.max(np.abs(picked - numeric) / scale)
         assert err < rtol, f"gradient mismatch for {name!r}: rel err {err:.3e}"
+
+
+def dtam_weights(queries, keys, times_q, times_k, sigma, use_decay=True):
+    """One head's row-stochastic DTAM weights, built from tape primitives:
+    softmax(q k^T + ln G), the reference ``autodiff.dtam_attention`` must match.
+
+    queries: (nq, d), keys: (nk, d); times are per-token stamps. The key
+    set must already be restricted to the causal past.
+    """
+    if keys.shape[0] == 0:
+        raise ContractError("empty key set")
+    bias = decay_log_bias(times_q, times_k, sigma) if use_decay else None
+    return ad.softmax_last_axis(ad.matmul(queries, ad.transpose(keys)), bias=bias)
 
 
 @pytest.fixture(scope="session")

@@ -22,10 +22,10 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import FD_RTOL, FD_STEP, check_gradients, numeric_grad_at
+from conftest import FD_RTOL, FD_STEP, check_gradients, dtam_weights, numeric_grad_at
 from phasesynth import autodiff as ad
-from phasesynth.attention import DtamConfig, dtam_weights, mmhsa_block
-from phasesynth.encoder import EncoderConfig, build_conditional_token, encode_features
+from phasesynth.attention import DtamConfig, mmhsa_block
+from phasesynth.encoder import build_conditional_token, encode_features
 from phasesynth.losses import LossWeights, seg_loss, syn_loss
 from phasesynth.metrics import (asd, dice, evaluate, hd95, iou, load_checkpoint,
                                 mse, psnr, ssim)
@@ -45,8 +45,7 @@ ABLATION_TRAIN_SEED = 2
 
 
 def small_model(seed=0):
-    cfg = ModelConfig(image_size=16,
-                      encoder=EncoderConfig(patch_size=8, embed_dim=16, depth=1))
+    cfg = ModelConfig(image_size=16, patch_size=8, embed_dim=16, depth=1)
     return cfg, init_params(cfg, np.random.default_rng(seed))
 
 
@@ -309,10 +308,10 @@ def test_criterion_3_causality_bit_identical():
         full = run_autoregressive(img, mask, times, params, cfg)
         # truncated loop: stop after each prefix; prefix outputs must be
         # bit-identical to the full run (later phases cannot leak back)
-        t_ot = encode_features(img, mask, cfg.encoder, params)
+        t_ot = encode_features(img, mask, cfg, params)
         blocks = []
         for i, (name, t) in enumerate(zip(names, times)):
-            cond = build_conditional_token(t_ot, name, t, cfg.encoder, params)
+            cond = build_conditional_token(t_ot, name, t, cfg, params)
             po, block = synthesize_phase(i, cond, blocks, cfg, params)
             assert (po.image.data == full.phase_outputs[i].image.data).all()
             assert (po.seg_logits.data == full.phase_outputs[i].seg_logits.data).all()

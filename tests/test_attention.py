@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import check_gradients
+from conftest import check_gradients, dtam_weights
 from phasesynth import autodiff as ad
-from phasesynth.attention import (DtamConfig, decay_log_bias, dtam_weights,
-                                  gaussian_decay, mmhsa_block)
-from phasesynth.errors import ConfigError, ContractError
+from phasesynth.attention import DtamConfig, decay_log_bias, gaussian_decay, mmhsa_block
+from phasesynth.errors import ConfigError, ContractError, DimensionError
 
 rng = np.random.default_rng(2)
 
@@ -196,6 +195,16 @@ def test_block_output_shape_matches_input():
     tokens = ad.Tensor(rng.uniform(-1, 1, (7, d)))
     out = mmhsa_block(tokens, np.full(7, 0.1), DtamConfig(head_count=4), params)
     assert out.shape == (7, d)
+
+
+def test_block_width_that_heads_do_not_divide_is_refused():
+    # mmhsa_block trusts a validated config; the attention op still refuses the width
+    d = 8
+    tokens = ad.Tensor(rng.uniform(-1, 1, (5, d)))
+    with pytest.raises(DimensionError):
+        mmhsa_block(tokens, np.full(5, 0.25), DtamConfig(head_count=3), block_params(d, 10))
+    with pytest.raises(ConfigError, match="not divisible"):
+        DtamConfig(head_count=3).validate(d)
 
 
 def test_block_records_head_weights():

@@ -1,6 +1,8 @@
 """Command-line surface: subcommands, artifacts, exit codes."""
 
+import dataclasses
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -11,7 +13,11 @@ import pytest
 
 import phasesynth
 from phasesynth.cli import DATA_ERROR, main
+from phasesynth.losses import LossWeights
+from phasesynth.model import ModelConfig
+from phasesynth.phantom import PhantomConfig
 from phasesynth.tensorio import load_archive, save_archive
+from phasesynth.training import TrainConfig
 
 PHANTOM_CFG = {"case_count": 12, "master_seed": 7,
                "split_fractions": [0.5, 0.25, 0.25]}
@@ -52,9 +58,17 @@ def test_generate_refuses_nonempty_without_force(workspace):
 
 @pytest.mark.parametrize("config", [{"case_count": 1}, {"times": [0.5, 0.2, 0.9]},
                                     {"radius": [40, 50]}, {"radius": [0, 5]},
-                                    {"radius": [8, 5]}],
+                                    {"radius": [8, 5]}, {"amplitude": [0.3, 0.2]},
+                                    {"amplitude": [0.9, 0.95]}, {"background": [0.5, 1.2]},
+                                    {"background": [math.nan, 0.5]},
+                                    {"benign_intensity": [-0.1, 0.3]},
+                                    {"malignant_intensity": [0.55, 0.8]},
+                                    {"noise_sigma": 0.2}, {"noise_sigma": -0.01}],
                          ids=["case_count_1", "times_unsorted", "radius_40_50", "radius_0_5",
-                              "radius_8_5"])
+                              "radius_8_5", "amplitude_0.3_0.2", "amplitude_0.9_0.95",
+                              "background_0.5_1.2", "background_nan_0.5",
+                              "benign_intensity_-0.1_0.3", "malignant_intensity_0.55_0.8",
+                              "noise_sigma_0.2", "noise_sigma_-0.01"])
 def test_generate_out_of_range_config_is_data_error(tmp_path, config, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(config))
@@ -115,24 +129,64 @@ def test_train_nonpositive_model_size_is_data_error(workspace, tmp_path, model, 
     assert not out.exists()
 
 
+def _number_fields(cls):
+    """The fields of ``cls`` whose default is a float or a tuple of floats."""
+    return [f.name for f in dataclasses.fields(cls)
+            if isinstance(getattr(cls(), f.name), (float, tuple))]
+
+
+NOT_FINITE_NUMBERS = {"nan": math.nan, "inf": math.inf, "true": True, "str": "0.5"}
+NUMBER_FIELDS = ([("generate", (), name) for name in _number_fields(PhantomConfig)]
+                 + [("train", (), name) for name in _number_fields(TrainConfig)]
+                 + [("train", ("weights",), name) for name in _number_fields(LossWeights)]
+                 + [("train", ("model",), name) for name in _number_fields(ModelConfig)])
+
+
+@pytest.mark.parametrize("bad", NOT_FINITE_NUMBERS.values(), ids=NOT_FINITE_NUMBERS.keys())
+@pytest.mark.parametrize("command, path, name", NUMBER_FIELDS,
+                         ids=[".".join(path + (name,)) for _, path, name in NUMBER_FIELDS])
+def test_number_field_refuses_what_is_not_a_finite_number(tmp_path, command, path, name, bad,
+                                                          capsys):
+    owner = PhantomConfig() if command == "generate" else TrainConfig()
+    for key in path:
+        owner = getattr(owner, key)
+    default = getattr(owner, name)
+    value = [bad, *default[1:]] if isinstance(default, tuple) else bad
+    config = {name: value}
+    for key in reversed(path):
+        config = {key: config}
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "train":
+        argv += ["--data", str(tmp_path / "absent")]
+    assert main(argv) == DATA_ERROR
+    err = capsys.readouterr().err
+    assert f"{'phantom' if command == 'generate' else 'train'} config" in err
+    assert repr(name) in err
+    assert not out.exists()
+
+
 def _write_not_utf8(path):
     path.write_bytes(b'{"case_count": 10, "note": "\xff"}')
 
 
-@pytest.mark.parametrize("command", ["generate", "train", "evaluate"])
+@pytest.mark.parametrize("command", ["generate", "train", "evaluate", "train_manifest"])
 def test_json_input_that_is_not_utf8_is_data_error(workspace, tmp_path, command, capsys):
     out = tmp_path / "out"
     bad = tmp_path / "bad.json"
     _write_not_utf8(bad)
+    data = tmp_path / "data"
     if command == "generate":
         argv = ["generate", "--config", str(bad)]
     elif command == "train":
         argv = ["train", "--config", str(bad), "--data", str(workspace["data"])]
     else:  # the manifest.json of the dataset
-        data = tmp_path / "data"
         shutil.copytree(workspace["data"], data)
         _write_not_utf8(data / "manifest.json")
-        argv = ["evaluate", "--checkpoint", str(workspace["checkpoint"]), "--data", str(data)]
+        argv = (["evaluate", "--checkpoint", str(workspace["checkpoint"])]
+                if command == "evaluate" else ["train"]) + ["--data", str(data)]
     assert main(argv + ["--out", str(out)]) == DATA_ERROR
     assert "utf-8" in capsys.readouterr().err
     assert not out.exists()
@@ -149,6 +203,37 @@ def test_train_artifacts(workspace):
 def test_train_missing_dataset_is_data_error(tmp_path):
     assert main(["train", "--data", str(tmp_path / "absent"),
                  "--out", str(tmp_path / "run")]) == DATA_ERROR
+    assert not (tmp_path / "run").exists()
+
+
+def _shrink_to_32px(named, meta):
+    named.update({name: a[:32, :32] for name, a in named.items()})
+
+
+def _first_case_of(data, split):
+    manifest = json.loads((data / "manifest.json").read_text())
+    return data / next(e for e in manifest["cases"] if e["split"] == split)["path"]
+
+
+@pytest.mark.parametrize("command, split", [("train", "train"), ("synthesize", "test")])
+def test_case_of_the_wrong_size_is_data_error(workspace, tmp_path, command, split, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    path = _first_case_of(data, split)
+    named, meta = load_archive(path)
+    _shrink_to_32px(named, meta)
+    save_archive(path, named, meta=meta)
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--config", str(workspace["root"] / "train.json")]
+    else:
+        argv = ["synthesize", "--checkpoint", str(workspace["checkpoint"])]
+    assert main(argv + ["--data", str(data), "--out", str(out)]) == DATA_ERROR
+    assert "model's image size" in capsys.readouterr().err
+    if command == "train":  # train makes --out and opens its log before its first step
+        assert not (out / "checkpoint.ntar").exists()
+    else:
+        assert not out.exists()
 
 
 def test_evaluate_report(workspace, tmp_path):
@@ -204,9 +289,22 @@ def _zero_patch_size(meta):
     meta["config"]["model"]["patch_size"] = 0
 
 
+def _infinite_omega(meta):
+    meta["config"]["model"]["omega"] = math.inf
+
+
+def _nan_sigma(meta):
+    meta["config"]["model"]["sigma"] = math.nan
+
+
+def _string_sigma(meta):
+    meta["config"]["model"]["sigma"] = "0.7"
+
+
 @pytest.mark.parametrize("command", ["evaluate", "synthesize"])
 @pytest.mark.parametrize("damage", [_drop_image_size, _model_not_a_dict, _no_config,
-                                    _zero_head_count, _zero_patch_size])
+                                    _zero_head_count, _zero_patch_size, _infinite_omega,
+                                    _nan_sigma, _string_sigma])
 def test_checkpoint_without_model_config_is_data_error(workspace, tmp_path, command,
                                                        damage, capsys):
     arrays, meta = load_archive(workspace["checkpoint"])
@@ -332,8 +430,9 @@ def _val_meta_edit(edit):
     _manifest_schema_1,
     _val_path_escapes,
     _val_archive_edit(lambda named, meta: named.pop("phase_pv")),
+    _val_archive_edit(_shrink_to_32px),
 ], ids=["no_cases", "no_image_size", "no_times", "two_times", "time_1.5", "label_x",
-        "schema_1", "path_dotdot", "no_phase_pv"])
+        "schema_1", "path_dotdot", "no_phase_pv", "case_32px"])
 def test_evaluate_malformed_dataset_is_data_error(workspace, tmp_path, damage, capsys):
     data = tmp_path / "data"
     shutil.copytree(workspace["data"], data)

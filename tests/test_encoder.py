@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import check_gradients
 from phasesynth import autodiff as ad
-from phasesynth.encoder import (PHASE_INDEX, EncoderConfig,
-                                build_conditional_token, encode_features,
+from phasesynth.encoder import (PHASE_INDEX, build_conditional_token, encode_features,
                                 neighbor_mix_matrix, patchify, phase_embedding,
                                 time_encoding)
 from phasesynth.errors import ConfigError, ContractError, DomainError
@@ -20,9 +19,7 @@ rng = np.random.default_rng(1)
 
 
 def small_model():
-    cfg = ModelConfig(image_size=16,
-                      encoder=EncoderConfig(patch_size=8, embed_dim=16, depth=1))
-    cfg.dtam.head_count = 4
+    cfg = ModelConfig(image_size=16, patch_size=8, embed_dim=16, depth=1, head_count=4)
     params = init_params(cfg, np.random.default_rng(0))
     return cfg, params
 
@@ -81,35 +78,36 @@ def test_encode_shape_default():
     cfg = ModelConfig()
     params = init_params(cfg, np.random.default_rng(0))
     t_ot = encode_features(rng.uniform(0, 1, (64, 64)),
-                           np.zeros((64, 64)), cfg.encoder, params)
+                           np.zeros((64, 64)), cfg, params)
     assert t_ot.shape == (64, 64)
 
 
 def test_encode_indivisible_size_rejected():
     cfg, params = small_model()
-    with pytest.raises(ConfigError):
-        encode_features(np.zeros((20, 20)), np.zeros((20, 20)), cfg.encoder, params)
+    with pytest.raises(ContractError, match="image size"):
+        encode_features(np.zeros((20, 20)), np.zeros((20, 20)), cfg, params)
+    with pytest.raises(ConfigError, match="not divisible"):
+        ModelConfig(image_size=20, patch_size=8, embed_dim=16).validate()
 
 
 def test_encode_shape_mismatch_rejected():
     cfg, params = small_model()
     with pytest.raises(ContractError):
-        encode_features(np.zeros((16, 16)), np.zeros((8, 8)), cfg.encoder, params)
+        encode_features(np.zeros((16, 16)), np.zeros((8, 8)), cfg, params)
 
 
 def test_patch_permutation_equivariance_depth_zero():
     """With no mixing stages the encoder is a per-patch map."""
-    cfg = ModelConfig(image_size=16,
-                      encoder=EncoderConfig(patch_size=8, embed_dim=16, depth=0))
+    cfg = ModelConfig(image_size=16, patch_size=8, embed_dim=16, depth=0)
     params = init_params(cfg, np.random.default_rng(0))
     img = rng.uniform(0, 1, (16, 16))
     mask = (rng.uniform(0, 1, (16, 16)) > 0.8).astype(float)
-    base = encode_features(img, mask, cfg.encoder, params).data
+    base = encode_features(img, mask, cfg, params).data
     # swap the two top patches (patch grid is 2x2)
     img2, mask2 = img.copy(), mask.copy()
     img2[:8, :8], img2[:8, 8:] = img[:8, 8:], img[:8, :8].copy()
     mask2[:8, :8], mask2[:8, 8:] = mask[:8, 8:], mask[:8, :8].copy()
-    swapped = encode_features(img2, mask2, cfg.encoder, params).data
+    swapped = encode_features(img2, mask2, cfg, params).data
     np.testing.assert_allclose(swapped[[1, 0, 2, 3]], base, atol=1e-12)
 
 
@@ -123,8 +121,8 @@ def test_encode_gradient_flows_to_parameters():
 
     def build(t):
         p = {k: (t[k] if k in t else ad.Tensor(v.data)) for k, v in params.items()}
-        return ad.reduce_mean(ad.mul(encode_features(img, mask, cfg.encoder, p),
-                                     encode_features(img, mask, cfg.encoder, p)))
+        return ad.reduce_mean(ad.mul(encode_features(img, mask, cfg, p),
+                                     encode_features(img, mask, cfg, p)))
 
     check_gradients(build, arrays, sample=60)
 
@@ -186,17 +184,17 @@ def test_phase_rows_distinct_and_nonzero():
 def test_conditional_token_shape():
     cfg, params = small_model()
     t_ot = encode_features(rng.uniform(0, 1, (16, 16)), np.zeros((16, 16)),
-                           cfg.encoder, params)
-    cond = build_conditional_token(t_ot, "art", 0.1, cfg.encoder, params)
+                           cfg, params)
+    cond = build_conditional_token(t_ot, "art", 0.1, cfg, params)
     assert cond.tokens.shape == (5, 16)  # 4 image tokens + 1 condition token
 
 
 def test_conditional_token_locality():
     cfg, params = small_model()
     t_ot = encode_features(rng.uniform(0, 1, (16, 16)), np.zeros((16, 16)),
-                           cfg.encoder, params)
-    early = build_conditional_token(t_ot, "art", 0.1, cfg.encoder, params)
-    late = build_conditional_token(t_ot, "art", 1.0, cfg.encoder, params)
+                           cfg, params)
+    early = build_conditional_token(t_ot, "art", 0.1, cfg, params)
+    late = build_conditional_token(t_ot, "art", 1.0, cfg, params)
     np.testing.assert_array_equal(early.tokens.data[:4], late.tokens.data[:4])
     assert not np.allclose(early.tokens.data[4], late.tokens.data[4])
 
@@ -204,11 +202,11 @@ def test_conditional_token_locality():
 def test_conditional_token_ablation_flags():
     cfg, params = small_model()
     t_ot = encode_features(rng.uniform(0, 1, (16, 16)), np.zeros((16, 16)),
-                           cfg.encoder, params)
-    bare = build_conditional_token(t_ot, "pv", 0.25, cfg.encoder, params,
+                           cfg, params)
+    bare = build_conditional_token(t_ot, "pv", 0.25, cfg, params,
                                    use_phase=False, use_time=False)
     assert bare.tokens.shape == (4, 16)
-    no_time = build_conditional_token(t_ot, "pv", 0.25, cfg.encoder, params,
+    no_time = build_conditional_token(t_ot, "pv", 0.25, cfg, params,
                                       use_time=False)
-    with_time = build_conditional_token(t_ot, "pv", 0.25, cfg.encoder, params)
+    with_time = build_conditional_token(t_ot, "pv", 0.25, cfg, params)
     assert not np.allclose(no_time.tokens.data[4], with_time.tokens.data[4])

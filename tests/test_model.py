@@ -6,7 +6,7 @@ import pytest
 from conftest import check_gradients
 from phasesynth import autodiff as ad
 from phasesynth import attention
-from phasesynth.encoder import EncoderConfig, build_conditional_token, encode_features
+from phasesynth.encoder import build_conditional_token, encode_features
 from phasesynth.errors import ContractError
 from phasesynth.model import (ABLATIONS, ModelConfig, aggregate_segmentation,
                               fuse_and_classify, init_params, param_shapes,
@@ -17,8 +17,7 @@ rng = np.random.default_rng(3)
 
 
 def small_setup(seed=0):
-    cfg = ModelConfig(image_size=16,
-                      encoder=EncoderConfig(patch_size=8, embed_dim=16, depth=1))
+    cfg = ModelConfig(image_size=16, patch_size=8, embed_dim=16, depth=1)
     params = init_params(cfg, np.random.default_rng(seed))
     return cfg, params
 
@@ -47,8 +46,8 @@ def test_unknown_ablation_rejected():
 def test_prior_count_contract():
     cfg, params = small_setup()
     img, mask = random_case()
-    t_ot = encode_features(img, mask, cfg.encoder, params)
-    cond = build_conditional_token(t_ot, "pv", 0.25, cfg.encoder, params)
+    t_ot = encode_features(img, mask, cfg, params)
+    cond = build_conditional_token(t_ot, "pv", 0.25, cfg, params)
     with pytest.raises(ContractError):
         synthesize_phase(1, cond, [], cfg, params)  # pv expects 1 prior block
 
@@ -56,12 +55,12 @@ def test_prior_count_contract():
 def test_prior_blocks_must_be_in_time_order():
     cfg, params = small_setup()
     img, mask = random_case()
-    t_ot = encode_features(img, mask, cfg.encoder, params)
-    cond = build_conditional_token(t_ot, "delay", 1.0, cfg.encoder, params)
+    t_ot = encode_features(img, mask, cfg, params)
+    cond = build_conditional_token(t_ot, "delay", 1.0, cfg, params)
     block = ad.Tensor(np.zeros((5, 16)))
     with pytest.raises(ContractError, match="non-decreasing time order"):
         synthesize_phase(2, cond, [(block, 0.25), (block, 0.1)], cfg, params)
-    early = build_conditional_token(t_ot, "delay", 0.2, cfg.encoder, params)
+    early = build_conditional_token(t_ot, "delay", 0.2, cfg, params)
     with pytest.raises(ContractError, match="non-decreasing time order"):
         synthesize_phase(2, early, [(block, 0.1), (block, 0.25)], cfg, params)
     po, _ = synthesize_phase(2, cond, [(block, 0.1), (block, 0.25)], cfg, params)
@@ -107,10 +106,10 @@ def test_causality_truncated_vs_full_twenty_cases():
     for seed in range(20):
         img, mask = random_case(seed)
         full = run_autoregressive(img, mask, DEFAULT_TIMES, params, cfg)
-        t_ot = encode_features(img, mask, cfg.encoder, params)
+        t_ot = encode_features(img, mask, cfg, params)
         blocks = []
         for i, (name, t) in enumerate(zip(("art", "pv"), DEFAULT_TIMES[:2])):
-            cond = build_conditional_token(t_ot, name, t, cfg.encoder, params)
+            cond = build_conditional_token(t_ot, name, t, cfg, params)
             po, block = synthesize_phase(i, cond, blocks, cfg, params)
             assert (po.image.data == full.phase_outputs[i].image.data).all()
             assert (po.seg_logits.data == full.phase_outputs[i].seg_logits.data).all()
@@ -185,11 +184,11 @@ def test_zeroed_head_gives_uniform():
 def test_fused_width_is_four_d():
     cfg, params = small_setup()
     img, mask = random_case()
-    t_ot = encode_features(img, mask, cfg.encoder, params)
+    t_ot = encode_features(img, mask, cfg, params)
     pooled = ad.reduce_mean(t_ot, axis=0)
     bundle = run_autoregressive(img, mask, DEFAULT_TIMES, params, cfg)
     joint = ad.concat([pooled] + [po.feature for po in bundle.phase_outputs], axis=0)
-    assert joint.shape == (4 * cfg.encoder.embed_dim,)
+    assert joint.shape == (4 * cfg.embed_dim,)
     with pytest.raises(ContractError):
         fuse_and_classify(pooled, bundle.phase_outputs[:2], params)
 
@@ -221,7 +220,7 @@ def test_default_model_parameter_count():
 
 @pytest.mark.parametrize("cfg", [
     ModelConfig(), ModelConfig(image_size=128), small_setup()[0],
-    ModelConfig(image_size=16, encoder=EncoderConfig(patch_size=8, embed_dim=16, depth=0))])
+    ModelConfig(image_size=16, patch_size=8, embed_dim=16, depth=0)])
 def test_param_shapes_match_init_params(cfg):
     params = init_params(cfg, np.random.default_rng(0))
     assert param_shapes(cfg) == {name: p.shape for name, p in params.items()}

@@ -237,6 +237,26 @@ def test_config_validation_checks_times_and_radius(field, value):
         PhantomConfig(**{field: value}).validate()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("benign_intensity", (-0.1, 0.3)), ("malignant_intensity", (0.7, 0.6)),
+    ("amplitude", (0.3, 0.2)), ("amplitude", (0.9, 0.95)), ("background", (0.5, 1.2)),
+    ("malignant_intensity", (0.55, 0.8)), ("benign_intensity", (0.2, 0.75)),
+    ("noise_sigma", 0.2), ("noise_sigma", -0.01),
+])
+def test_config_validation_checks_intensity_ranges_and_noise(field, value):
+    with pytest.raises(ConfigError, match=field):
+        PhantomConfig(**{field: value}).validate()
+
+
+def test_intensity_ranges_at_their_bounds_generate(tmp_path):
+    # the largest intensity high plus the amplitude high may reach 1 exactly
+    cfg = PhantomConfig(image_size=32, case_count=4, benign_intensity=(0.0, 0.0),
+                        malignant_intensity=(0.5, 0.75), amplitude=(0.25, 0.25),
+                        background=(1.0, 1.0), noise_sigma=0.05)
+    generate_dataset(cfg, str(tmp_path))
+    assert len(load_manifest(str(tmp_path))["cases"]) == 4
+
+
 def test_radius_at_its_bound_generates(tmp_path):
     # high + 3 == (image_size - 1) / 2: a lesion centre has one possible value
     generate_dataset(PhantomConfig(image_size=31, case_count=2, radius=(12.0, 12.0)),

@@ -136,7 +136,7 @@ def test_val_loss_leaves_out_tcc(tiny_dataset):
 def test_image_size_mismatch_rejected(tiny_dataset, tmp_path):
     cfg = TrainConfig(epochs=1, warmup_epochs=0)
     cfg.model.image_size = 32
-    cfg.model.encoder.patch_size = 8
+    cfg.model.patch_size = 8
     with pytest.raises(ConfigError):
         train(cfg, tiny_dataset, str(tmp_path / "run"))
 
