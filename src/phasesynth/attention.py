@@ -7,15 +7,17 @@ attention weight by exp(-(t_i - t_k)^2 / (2 sigma^2)) and renormalizes;
 numerically this folds ln G into the logits before the stabilized
 softmax, which is mathematically identical.
 
-Time stamps are constant within a phase block, so ln G is evaluated once
-per pair of distinct stamps and gathered to token level; one bias matrix
-serves every head of a block.
+Time stamps are constant within a phase block, so every query row of a
+block has the same ln G over the keys. ``mmhsa_block`` finds the runs of
+equal stamps and builds one bias row per run, a (runs, n) array that
+every head shares.
 
-All heads of a block run in one tape node, ``autodiff.dtam_attention``.
-It keeps the (heads, n, n) weights only when training needs them for
-``backward`` or the caller records them (``record``, as ``synthesize
---dump-attention`` does); a forward pass without either holds one n x n
-score matrix at a time.
+All heads run in one tape node, ``autodiff.dtam_attention``, one run of
+query rows at a time and, within a run, as many heads at a time as fit
+a fixed score budget. It keeps the (heads, n, n) weights only when
+training needs them for ``backward`` or the caller records them
+(``record``, as ``synthesize --dump-attention`` does); a forward pass
+without either holds one such chunk of scores at a time.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def gaussian_decay(t_i, t_k, sigma):
 
 
 def decay_log_bias(times_q, times_k, sigma):
-    """ln G matrix for per-token time stamps; constant w.r.t. the tape.
+    """ln G of each query stamp against each key stamp; constant w.r.t. the tape.
 
     Each entry is evaluated on the distinct stamps only, then gathered to
     token level, so it equals the entrywise formula bit for bit.
@@ -86,9 +88,13 @@ def mmhsa_block(tokens, token_times, cfg, params, use_decay=True, record=None):
     k = ad.linear(h, params["att.k_w"])
     v = ad.linear(h, params["att.v_w"])
 
-    # the decay depends only on the stamps, so every head shares one bias
-    bias = decay_log_bias(token_times, token_times, cfg.sigma) if use_decay else None
+    # runs of equal stamps (the phase blocks) share one bias row over the keys;
+    # a run starts wherever the stamp differs from the one before
+    times = np.asarray(token_times, dtype=np.float64)
+    starts = [0, *(np.flatnonzero(times[1:] != times[:-1]) + 1).tolist()]
+    runs = [b - a for a, b in zip(starts, starts[1:] + [n])]
+    bias = decay_log_bias(times[starts], times, cfg.sigma) if use_decay else None
     weights = record.setdefault("weights", []) if record is not None else None
-    z = ad.dtam_attention(q, k, v, bias, cfg.head_count, weights_out=weights)
+    z = ad.dtam_attention(q, k, v, bias, cfg.head_count, runs, weights_out=weights)
     out = ad.linear(z, params["att.out_w"], params["att.out_b"])
     return ad.add(out, tokens)

@@ -26,9 +26,11 @@ Fused ops keep the training tape short: ``linear`` (``x @ w (+ b)``),
 heads) each do in one node what a composition of the elementwise and
 shaping ops did, with the same float operations in the same order in
 the forward; ``losses.syn_loss`` and ``losses.seg_loss`` do the same for
-the image losses. ``dtam_attention`` keeps every head's weights only
-when an input requires a gradient or the caller asks for them; without
-a tape the heads share one reused score buffer.
+the image losses. ``dtam_attention`` works one run of query rows (one
+phase block) and one group of heads at a time, so a chunk of scores fits
+``SCORE_CHUNK_BYTES``. It keeps every head's weights only when an input
+requires a gradient or the caller asks for them; without a tape the
+chunks share one scratch buffer.
 
 Live rows: ``dtam_attention``'s adjoints work on the query rows up to
 the last one whose adjoint is not all zero. A later row adds exactly
@@ -287,6 +289,9 @@ def softmax_last_axis(a, bias=None):
     return node(y, (a,), adjoint)
 
 
+SCORE_CHUNK_BYTES = 1 << 20  # one chunk of attention scores stays in cache
+
+
 def _split_heads(x, heads):
     """(rows, H * d_h) -> (H, rows, d_h) view of the column blocks."""
     rows, width = x.shape
@@ -299,20 +304,24 @@ def _merge_heads(x):
     return x.transpose(1, 0, 2).reshape(rows, heads * head_dim)
 
 
-def dtam_attention(q, k, v, bias, heads, weights_out=None):
+def dtam_attention(q, k, v, bias, heads, runs=None, weights_out=None):
     """Multi-head ``softmax(q_h k_h^T + bias) v_h``, heads concatenated, as one node.
 
     q: (n, D), k and v: (nk, D); head h owns columns [h d_h, (h+1) d_h)
-    with d_h = D / heads. ``bias`` is a constant (n, nk) array shared by
-    every head, or None. Returns the (n, D) concatenation of the heads.
+    with d_h = D / heads. ``runs`` splits the n query rows into runs of
+    the given lengths (default: one row each); every row of run i gets
+    the constant key bias ``bias[i]``, so ``bias`` is a (len(runs), nk)
+    array shared by every head, or None. Returns the (n, D) concatenation
+    of the heads.
 
-    Each head's weights are filled in place (scores, + bias, shift, exp,
-    normalize) into one of two buffers. They are kept, as an (H, n, nk)
-    array, only when some input requires a gradient (the adjoints,
-    batched over heads, read them) or when ``weights_out``, a list, is
-    given; it then receives one (n, nk) array per head. Otherwise every
-    head reuses one (n, nk) scratch, so a forward pass without a tape
-    holds a single score matrix at a time.
+    The weights are formed one chunk at a time: one run's rows for a
+    group of heads whose scores fit ``SCORE_CHUNK_BYTES`` (at least one
+    head). Each chunk is filled in place (scores, + bias row, shift, exp,
+    normalize) and multiplied into the output. The (H, n, nk) weights are
+    kept only when some input requires a gradient (the adjoints, batched
+    over heads, read them) or when ``weights_out``, a list, is given; it
+    then receives one (n, nk) array per head. Otherwise each chunk is
+    scratch, so a forward pass without a tape holds one chunk at a time.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
@@ -325,23 +334,37 @@ def dtam_attention(q, k, v, bias, heads, weights_out=None):
             f"and divisible by {heads} heads")
     if v.shape[0] != nk or nk == 0:
         raise DimensionError(f"keys {k.shape} and values {v.shape} need the same nonzero rows")
+    runs = [1] * n if runs is None else [int(r) for r in runs]
+    if min(runs, default=1) < 1 or sum(runs) != n:
+        raise DimensionError(f"query runs {runs} are not positive lengths summing to {n}")
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float64)
-        if bias.shape != (n, nk):
-            raise DimensionError(f"attention bias {bias.shape} is not ({n}, {nk})")
+        if bias.shape != (len(runs), nk):
+            raise DimensionError(f"attention bias {bias.shape} is not ({len(runs)}, {nk})")
     qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
+    kt = kh.transpose(0, 2, 1)
     keep = weights_out is not None or any(t.requires_grad for t in (q, k, v))
-    w = np.empty((heads if keep else 1, n, nk))
+    w = np.empty((heads, n, nk)) if keep else None
     z = np.empty((heads, n, dim // heads))
-    for h in range(heads):
-        wh = w[h if keep else 0]
-        np.matmul(qh[h], kh[h].T, out=wh)
-        if bias is not None:
-            wh += bias
-        wh -= wh.max(axis=-1, keepdims=True)
-        np.exp(wh, out=wh)
-        wh /= wh.sum(axis=-1, keepdims=True)
-        np.matmul(wh, vh[h], out=z[h])
+    # heads per chunk, so that a chunk's scores fit SCORE_CHUNK_BYTES
+    groups = [min(heads, max(1, SCORE_CHUNK_BYTES // (8 * nk * rows))) for rows in runs]
+    largest = max((group * rows for group, rows in zip(groups, runs)), default=0)
+    scratch = None if keep else np.empty(largest * nk)
+    lo = 0
+    for i, (rows, group) in enumerate(zip(runs, groups)):
+        hi = lo + rows
+        for h in range(0, heads, group):
+            hs = slice(h, min(h + group, heads))
+            shape = (hs.stop - h, rows, nk)
+            wc = w[hs, lo:hi] if keep else scratch[:shape[0] * rows * nk].reshape(shape)
+            np.matmul(qh[hs, lo:hi], kt[hs], out=wc)
+            if bias is not None:
+                wc += bias[i]
+            wc -= wc.max(axis=-1, keepdims=True)
+            np.exp(wc, out=wc)
+            wc /= wc.sum(axis=-1, keepdims=True)
+            np.matmul(wc, vh[hs], out=z[hs, lo:hi])
+        lo = hi
     if weights_out is not None:
         weights_out.extend(w)
 

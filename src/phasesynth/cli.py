@@ -17,6 +17,7 @@ import time
 
 import numpy as np
 
+from .config import integral
 from .errors import ConfigError, ContractError, DomainError, GenerationError, NumericalError
 from .metrics import evaluate
 from .model import run_autoregressive
@@ -126,16 +127,17 @@ def cmd_synthesize(args):
     from .metrics import load_checkpoint
     params, cfg, meta = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.data, cfg.image_size)
-    seed = meta["config"].get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ContractError(f"{args.checkpoint}: checkpoint config has no integer seed")
+    try:
+        seed = integral(meta["config"].get("seed"))
+    except ValueError:
+        raise ContractError(f"{args.checkpoint}: checkpoint config has no integer seed") from None
     _check_out_dir(args.out, args.force)
     ablation = meta["config"].get("ablation", "full")
     outputs = []
     for entry in manifest["cases"]:
         if entry["split"] != args.split:
             continue
-        case = load_case(args.data, entry)
+        case = load_case(args.data, entry, cfg.image_size)
         record = [] if args.dump_attention else None
         bundle = run_autoregressive(case.ncmri, case.tumor_mask, case.times,
                                     params, cfg, ablation=ablation, record=record)

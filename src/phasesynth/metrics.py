@@ -244,7 +244,7 @@ def evaluate(checkpoint_path, data_dir, split="test", out_path=None):
     cases_out = []
     preds, labels = [], []
     for entry in entries:
-        case = load_case(data_dir, entry)
+        case = load_case(data_dir, entry, cfg.image_size)
         bundle = run_autoregressive(case.ncmri, case.tumor_mask, case.times,
                                     params, cfg, ablation=ablation)
         per_phase = {}

@@ -329,8 +329,9 @@ def load_manifest(data_dir, image_size=None):
     return m
 
 
-def load_case(data_dir, entry):
-    """One case archive; its meta and tensors are checked against the generator's format."""
+def load_case(data_dir, entry, image_size=None):
+    """One case archive; its meta and tensors are checked against the generator's
+    format, and its images against ``image_size`` when that is given."""
     path = os.path.join(data_dir, entry["path"])
     named, meta = load_archive(path)
     times = meta.get("times") if isinstance(meta, dict) else None
@@ -345,4 +346,6 @@ def load_case(data_dir, entry):
     images = [named[name] for name in CASE_TENSORS]
     _check(len({a.shape for a in images}) == 1 and images[0].ndim == 2,
            path, "images differ in shape or are not 2-D")
+    _check(image_size is None or images[0].shape == (image_size,) * 2, path,
+           f"images are {images[0].shape}, not {(image_size,) * 2}, the model's image size")
     return CaseRecord(images[0], images[1], images[2:], tuple(times), meta["label"], meta["seed"])

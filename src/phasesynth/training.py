@@ -101,8 +101,8 @@ def train(cfg, data_dir, out_dir, log_hook=None):
     by_split = {"train": [], "val": [], "test": []}
     for entry in manifest["cases"]:
         by_split[entry["split"]].append(entry)
-    train_cases = [load_case(data_dir, e) for e in by_split["train"]]
-    val_cases = [load_case(data_dir, e) for e in by_split["val"]]
+    train_cases = [load_case(data_dir, e, cfg.model.image_size) for e in by_split["train"]]
+    val_cases = [load_case(data_dir, e, cfg.model.image_size) for e in by_split["val"]]
     if not train_cases or not val_cases:
         raise ConfigError("dataset must provide non-empty train and val splits")
 

@@ -256,6 +256,33 @@ def test_block_heads_match_per_head_dtam_weights():
             np.testing.assert_array_equal(w, ref.data)
 
 
+@pytest.mark.parametrize("phase", [1, 2, 3])
+def test_block_at_the_128px_model_shapes_matches_dense_softmax(phase):
+    # blocks of 257 tokens (16 x 16 patches and the conditional token), the
+    # current block first, then the prior blocks in time order
+    d, heads, sigma = 64, 4, 0.7
+    stamps = [(0.25, 0.55, 0.9)[phase - 1], 0.25, 0.55][:phase]
+    times = np.repeat(stamps, 257)
+    n = times.size
+    tokens = rng.uniform(-1, 1, (n, d))
+    trained = block_params(d, 771, seed=phase)
+    a = {name: t.data for name, t in trained.items()}
+    h = tokens @ a["att.in_w"] + a["att.in_b"] + a["att.pos"][:n]
+    q, k, v = h @ a["att.q_w"], h @ a["att.k_w"], h @ a["att.v_w"]
+    dt = times[:, None] - times[None, :]
+    log_g = -(dt * dt) / (2.0 * sigma * sigma)
+    z = np.empty_like(h)
+    for cols in np.split(np.arange(d), heads):
+        logits = q[:, cols] @ k[:, cols].T + log_g
+        w = np.exp(logits - logits.max(axis=1, keepdims=True))
+        z[:, cols] = w / w.sum(axis=1, keepdims=True) @ v[:, cols]
+    ref = z @ a["att.out_w"] + a["att.out_b"] + tokens
+    detached = {name: ad.Tensor(t) for name, t in a.items()}
+    for params in (trained, detached):
+        out = mmhsa_block(ad.Tensor(tokens), times, DtamConfig(sigma, heads), params)
+        assert np.abs(out.data - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_block_gradients_match_finite_differences():
     d = 8
     tokens = rng.uniform(-1, 1, (4, d))

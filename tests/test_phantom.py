@@ -358,6 +358,13 @@ def test_load_case_rejects_images_of_different_shapes(tmp_path):
         load_case(str(tmp_path), entry)
 
 
+def test_load_case_refuses_a_case_of_another_image_size(tmp_path):
+    entry = damaged_case(tmp_path, lambda named: None)
+    assert load_case(str(tmp_path), entry, 64).ncmri.shape == (64, 64)
+    with pytest.raises(ContractError, match="model's image size"):
+        load_case(str(tmp_path), entry, 32)
+
+
 def _extra_tensor(named):
     named["phase_late"] = named["ncmri"]
 
