@@ -14,10 +14,12 @@ every head shares.
 
 All heads run in one tape node, ``autodiff.dtam_attention``, one run of
 query rows at a time and, within a run, as many heads at a time as fit
-a fixed score budget. It keeps the (heads, n, n) weights only when
-training needs them for ``backward`` or the caller records them
-(``record``, as ``synthesize --dump-attention`` does); a forward pass
-without either holds one such chunk of scores at a time.
+a fixed score budget. Each run's bias row rides in the score matmul as
+one more key row, and the softmax is normalised after the value
+product. It keeps the (heads, n, n) weights only when training needs
+them for ``backward`` or the caller records them (``record``, as
+``synthesize --dump-attention`` does); a forward pass without either
+holds one such chunk of scores at a time.
 """
 
 from __future__ import annotations

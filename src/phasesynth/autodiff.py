@@ -24,13 +24,16 @@ Fused ops keep the training tape short: ``linear`` (``x @ w (+ b)``),
 ``rearrange`` (reshape, transpose, reshape: the model's depatchify) and
 ``dtam_attention`` (multi-head attention, its backward batched over
 heads) each do in one node what a composition of the elementwise and
-shaping ops did, with the same float operations in the same order in
-the forward; ``losses.syn_loss`` and ``losses.seg_loss`` do the same for
-the image losses. ``dtam_attention`` works one run of query rows (one
-phase block) and one group of heads at a time, so a chunk of scores fits
-``SCORE_CHUNK_BYTES``. It keeps every head's weights only when an input
-requires a gradient or the caller asks for them; without a tape the
-chunks share one scratch buffer.
+shaping ops did. ``linear`` and ``rearrange``, like ``losses.syn_loss``
+and ``losses.seg_loss`` for the image losses, do the same float
+operations in the same order in the forward. ``dtam_attention`` does
+not: it adds the decay bias inside the score matmul and divides by the
+softmax row sums after the value product, so its output and gradients
+differ from the composition's by rounding. It works one run of query
+rows (one phase block) and one group of heads at a time, so a chunk of
+scores fits ``SCORE_CHUNK_BYTES``. It keeps every head's weights only
+when an input requires a gradient or the caller asks for them; without
+a tape the chunks share one scratch buffer.
 
 Live rows: ``dtam_attention``'s adjoints work on the query rows up to
 the last one whose adjoint is not all zero. A later row adds exactly
@@ -316,12 +319,22 @@ def dtam_attention(q, k, v, bias, heads, runs=None, weights_out=None):
 
     The weights are formed one chunk at a time: one run's rows for a
     group of heads whose scores fit ``SCORE_CHUNK_BYTES`` (at least one
-    head). Each chunk is filled in place (scores, + bias row, shift, exp,
-    normalize) and multiplied into the output. The (H, n, nk) weights are
-    kept only when some input requires a gradient (the adjoints, batched
-    over heads, read them) or when ``weights_out``, a list, is given; it
-    then receives one (n, nk) array per head. Otherwise each chunk is
-    scratch, so a forward pass without a tape holds one chunk at a time.
+    head). A chunk is filled in place: one matmul of the queries, each
+    with a trailing 1, by the keys with a trailing row holding
+    ``bias[i]`` gives ``q k^T + bias``; then the row maximum is
+    subtracted, the exponential taken and the row sums formed. The
+    unnormalised weights are multiplied by ``v_h``, and that product,
+    not the weights, is divided by the row sums, on its way into the
+    head's columns of the output. The (H, n, nk) weights are kept only
+    when some input requires a gradient (the adjoints, batched over
+    heads, read them) or when ``weights_out``, a list, is given; it then
+    receives one (n, nk) array per head. Kept weights are divided by the
+    row sums after the value product, so the output has the same bits
+    either way. Otherwise each chunk is scratch, so a forward pass
+    without a tape holds one chunk at a time.
+
+    The backward's softmax row term ``sum_j w_ij (g_i . v_j)`` is formed
+    as ``g_i . z_i``, over (H, rows, d_h) rather than (H, rows, nk).
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
@@ -343,27 +356,42 @@ def dtam_attention(q, k, v, bias, heads, runs=None, weights_out=None):
             raise DimensionError(f"attention bias {bias.shape} is not ({len(runs)}, {nk})")
     qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
     kt = kh.transpose(0, 2, 1)
+    d_h = dim // heads
     keep = weights_out is not None or any(t.requires_grad for t in (q, k, v))
     w = np.empty((heads, n, nk)) if keep else None
-    z = np.empty((heads, n, dim // heads))
+    out = np.empty((n, dim))
+    z = _split_heads(out, heads)  # each head's view of its output columns
     # heads per chunk, so that a chunk's scores fit SCORE_CHUNK_BYTES
     groups = [min(heads, max(1, SCORE_CHUNK_BYTES // (8 * nk * rows))) for rows in runs]
     largest = max((group * rows for group, rows in zip(groups, runs)), default=0)
     scratch = None if keep else np.empty(largest * nk)
+    # chunk scratch: the score matmul adds the bias, as the queries get a
+    # trailing 1 and the keys a trailing row holding the run's ln G (zeros
+    # without one); the value product is normalised on its way into z
+    q1, z1 = np.empty(largest * (d_h + 1)), np.empty(largest * d_h)
+    k1 = np.zeros((max(groups, default=1), d_h + 1, nk))
     lo = 0
     for i, (rows, group) in enumerate(zip(runs, groups)):
         hi = lo + rows
         for h in range(0, heads, group):
             hs = slice(h, min(h + group, heads))
-            shape = (hs.stop - h, rows, nk)
-            wc = w[hs, lo:hi] if keep else scratch[:shape[0] * rows * nk].reshape(shape)
-            np.matmul(qh[hs, lo:hi], kt[hs], out=wc)
+            nh = hs.stop - h
+            wc = w[hs, lo:hi] if keep else scratch[:nh * rows * nk].reshape(nh, rows, nk)
+            qc, kc = q1[:nh * rows * (d_h + 1)].reshape(nh, rows, d_h + 1), k1[:nh]
+            qc[..., :d_h] = qh[hs, lo:hi]
+            qc[..., d_h] = 1.0
+            kc[:, :d_h] = kt[hs]
             if bias is not None:
-                wc += bias[i]
+                kc[:, d_h] = bias[i]
+            np.matmul(qc, kc, out=wc)
             wc -= wc.max(axis=-1, keepdims=True)
             np.exp(wc, out=wc)
-            wc /= wc.sum(axis=-1, keepdims=True)
-            np.matmul(wc, vh[hs], out=z[hs, lo:hi])
+            total = wc.sum(axis=-1, keepdims=True)
+            zc = z1[:nh * rows * d_h].reshape(nh, rows, d_h)
+            np.matmul(wc, vh[hs], out=zc)
+            np.divide(zc, total, out=z[hs, lo:hi])
+            if keep:
+                wc /= total
         lo = hi
     if weights_out is not None:
         weights_out.extend(w)
@@ -380,11 +408,12 @@ def dtam_attention(q, k, v, bias, heads, runs=None, weights_out=None):
         return shared
 
     def softmax_back(g):
-        # w * (dw - sum(w * dw)), formed in dw's buffer
+        # w * (dw - sum(w * dw)), formed in dw's buffer; the row term
+        # sum_j w_ij (g_i . v_j) is g_i . z_i
         cut = live(g)
         if "s" not in cut:
             s = np.matmul(cut["g"], vh.transpose(0, 2, 1))
-            s -= (cut["w"] * s).sum(axis=-1, keepdims=True)
+            s -= (cut["g"] * z[:, :cut["r"]]).sum(axis=-1, keepdims=True)
             s *= cut["w"]
             cut["s"] = s
         return cut["r"], cut["s"]
@@ -403,7 +432,7 @@ def dtam_attention(q, k, v, bias, heads, runs=None, weights_out=None):
         cut = live(g)
         return _merge_heads(np.matmul(cut["w"].transpose(0, 2, 1), cut["g"]))
 
-    return node(_merge_heads(z), (q, k, v), dq, dk, dv)
+    return node(out, (q, k, v), dq, dk, dv)
 
 
 def _rows(g):

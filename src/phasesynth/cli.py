@@ -9,9 +9,11 @@ failure. A config is validated before its command writes anything.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
+import shutil
 import sys
 import time
 
@@ -102,7 +104,8 @@ def cmd_evaluate(args):
     return 0
 
 
-def _dump_attention(record, out_dir, case_id):
+def _dump_attention(record, out_dir, case_id, paths):
+    """Write one block-mean CSV per phase, naming each in ``paths`` first."""
     for entry in record:
         sizes = entry["block_sizes"]
         bounds = np.cumsum([0] + sizes)
@@ -114,6 +117,7 @@ def _dump_attention(record, out_dir, case_id):
                 block[qi, ki] = mean_w[bounds[qi]:bounds[qi + 1],
                                        bounds[ki]:bounds[ki + 1]].mean()
         path = os.path.join(out_dir, f"{case_id}_{entry['phase']}_attention.csv")
+        paths.append(path)
         labels = ["cond"] + [f"prior_{i}" for i in range(nb - 1)]
         with open(path, "w", newline="") as f:
             writer = csv.writer(f)
@@ -133,35 +137,42 @@ def cmd_synthesize(args):
         raise ContractError(f"{args.checkpoint}: checkpoint config has no integer seed") from None
     _check_out_dir(args.out, args.force)
     ablation = meta["config"].get("ablation", "full")
-    outputs = []
-    for entry in manifest["cases"]:
-        if entry["split"] != args.split:
-            continue
-        case = load_case(args.data, entry, cfg.image_size)
-        record = [] if args.dump_attention else None
-        bundle = run_autoregressive(case.ncmri, case.tumor_mask, case.times,
-                                    params, cfg, ablation=ablation, record=record)
-        os.makedirs(args.out, exist_ok=True)
-        cid = entry["id"]
-        for name, po in zip(PHASE_NAMES, bundle.phase_outputs):
-            path = os.path.join(args.out, f"{cid}_phase_{name}.pgm")
-            save_pgm(path, po.image.data)
-            outputs.append(path)
-        mask_path = os.path.join(args.out, f"{cid}_mask.pgm")
-        save_pgm(mask_path, bundle.aggregated_mask.astype(np.float64))
-        outputs.append(mask_path)
-        cls_path = os.path.join(args.out, f"{cid}_class.json")
-        with open(cls_path, "w") as f:
-            json.dump({
-                "class_probs": bundle.class_probs.data.tolist(),
-                "predicted": int(np.argmax(bundle.class_probs.data)),
-                "per_phase_cls": [p.item() for p in bundle.per_phase_cls],
-                "signals": bundle.signals,
-                "signal_labels": bundle.signal_labels,
-            }, f, indent=1, sort_keys=True)
-        outputs.append(cls_path)
-        if record is not None:
-            _dump_attention(record, args.out, cid)
+    made_out = not os.path.isdir(args.out)
+    outputs, attention = [], []
+    try:
+        for entry in manifest["cases"]:
+            if entry["split"] != args.split:
+                continue
+            case = load_case(args.data, entry, cfg.image_size)
+            record = [] if args.dump_attention else None
+            bundle = run_autoregressive(case.ncmri, case.tumor_mask, case.times,
+                                        params, cfg, ablation=ablation, record=record)
+            os.makedirs(args.out, exist_ok=True)
+            cid = entry["id"]
+            for name, po in zip(PHASE_NAMES, bundle.phase_outputs):
+                outputs.append(os.path.join(args.out, f"{cid}_phase_{name}.pgm"))
+                save_pgm(outputs[-1], po.image.data)
+            outputs.append(os.path.join(args.out, f"{cid}_mask.pgm"))
+            save_pgm(outputs[-1], bundle.aggregated_mask.astype(np.float64))
+            outputs.append(os.path.join(args.out, f"{cid}_class.json"))
+            with open(outputs[-1], "w") as f:
+                json.dump({
+                    "class_probs": bundle.class_probs.data.tolist(),
+                    "predicted": int(np.argmax(bundle.class_probs.data)),
+                    "per_phase_cls": [p.item() for p in bundle.per_phase_cls],
+                    "signals": bundle.signals,
+                    "signal_labels": bundle.signal_labels,
+                }, f, indent=1, sort_keys=True)
+            if record is not None:
+                _dump_attention(record, args.out, cid, attention)
+    except BaseException:
+        # a failed run leaves --out as it found it, less the files it overwrote
+        if made_out:
+            shutil.rmtree(args.out, ignore_errors=True)
+        for path in outputs + attention:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        raise
     _write_run_manifest(args.out, "synthesize", args, seed, started, outputs)
     return 0
 

@@ -297,34 +297,108 @@ def per_head_attention(q, k, v, bias, heads, runs=None):
     return ad.concat(blocks, axis=0)
 
 
+def longdouble_attention(q, k, v, bias, heads):
+    """An independent oracle: per-head softmax(q_h k_h^T + bias) v_h and the
+    weights, in np.longdouble. ``bias`` is per query row, (n, nk), or None."""
+    q, k, v = (np.asarray(a, dtype=np.longdouble) for a in (q, k, v))
+    d = q.shape[1] // heads
+    out, weights = np.empty_like(q), []
+    for h in range(heads):
+        cols = slice(h * d, (h + 1) * d)
+        scores = q[:, cols] @ k[:, cols].T
+        if bias is not None:
+            scores = scores + bias
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        weights.append(e / e.sum(axis=1, keepdims=True))
+        out[:, cols] = weights[-1] @ v[:, cols]
+    return out, weights
+
+
+def assert_near_oracle(got, oracle, rtol=1e-13):
+    assert np.isfinite(got).all()
+    assert np.abs(got - oracle).max() <= rtol * np.abs(oracle).max()
+
+
 @pytest.mark.parametrize("with_bias", [True, False])
 @pytest.mark.parametrize("n, nk, heads", [(6, 6, 4), (5, 9, 2), (7, 3, 1)])
 def test_dtam_attention_equals_per_head_composition(n, nk, heads, with_bias):
-    """Runs of several rows, as the model's phase blocks are: at these sizes
-    the output and every gradient equal the one-run composition's bit for
-    bit (at the model's sizes BLAS may round one run's rows differently;
-    test_attention.py holds those to 1e-13). Runs of one row: BLAS rounds a
-    one-row matmul differently from a row of a larger one, so the output is
-    compared with the row-by-row composition, and the gradients are left
-    to the finite-difference checks."""
+    """The op adds the bias inside the score matmul and normalises after the
+    value product, so its float operations differ from the composition's.
+    The output is held to a longdouble oracle, and the gradients to the
+    float64 composition within rounding, for runs of several rows (as the
+    model's phase blocks are) and for runs of one row (a per-token bias)."""
     dim = 4 * heads
     arrays = {"q": rng.uniform(-2, 2, (n, dim)), "k": rng.uniform(-2, 2, (nk, dim)),
               "v": rng.uniform(-1, 1, (nk, dim))}
     runs = [n // 2, n - n // 2]
     bias = np.log(rng.uniform(0.05, 1.0, (2, nk))) if with_bias else None
     token_bias = None if bias is None else bias.repeat(runs, axis=0)
-    results = run_both(
+    (out, *grads), (_, *composed) = run_both(
         lambda t: ad.dtam_attention(t["q"], t["k"], t["v"], bias, heads, runs),
         lambda t: per_head_attention(t["q"], t["k"], t["v"], token_bias, heads), arrays)
-    for fused, composed in zip(*results):
-        np.testing.assert_array_equal(fused, composed)
+    oracle, _ = longdouble_attention(arrays["q"], arrays["k"], arrays["v"], token_bias, heads)
+    np.testing.assert_allclose(out, oracle, rtol=1e-13, atol=1e-15)
+    for fused, ref in zip(grads, composed):
+        np.testing.assert_allclose(fused, ref, rtol=1e-13, atol=1e-15)
 
     token_bias = np.log(rng.uniform(0.05, 1.0, (n, nk))) if with_bias else None
-    (out, *_), (row_loop, *_) = run_both(
+    (out, *grads), (_, *composed) = run_both(
         lambda t: ad.dtam_attention(t["q"], t["k"], t["v"], token_bias, heads),
         lambda t: per_head_attention(t["q"], t["k"], t["v"], token_bias, heads, [1] * n),
         arrays)
-    np.testing.assert_array_equal(out, row_loop)
+    oracle, _ = longdouble_attention(arrays["q"], arrays["k"], arrays["v"], token_bias, heads)
+    np.testing.assert_allclose(out, oracle, rtol=1e-13, atol=1e-15)
+    for fused, ref in zip(grads, composed):
+        np.testing.assert_allclose(fused, ref, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_dtam_attention_output_is_the_same_with_and_without_a_tape(with_bias):
+    # the kept weights are divided by the row sums after z is formed from
+    # the unnormalised ones, so keeping them does not change z
+    n, nk, heads = 9, 9, 2
+    q, k, v = rng.uniform(-2, 2, (n, 8)), rng.uniform(-2, 2, (nk, 8)), rng.uniform(-1, 1, (nk, 8))
+    runs = [3, 3, 3]
+    bias = np.log(rng.uniform(0.05, 1.0, (3, nk))) if with_bias else None
+    free = ad.dtam_attention(q, k, v, bias, heads, runs)
+    taped_weights, free_weights = [], []
+    taped = ad.dtam_attention(ad.Tensor(q, requires_grad=True), k, v, bias, heads, runs,
+                              weights_out=taped_weights)
+    recorded = ad.dtam_attention(q, k, v, bias, heads, runs, weights_out=free_weights)
+    assert taped.requires_grad and not free.requires_grad
+    np.testing.assert_array_equal(taped.data, free.data)
+    np.testing.assert_array_equal(recorded.data, free.data)
+    _, oracle = longdouble_attention(q, k, v, None if bias is None else bias.repeat(runs, axis=0),
+                                     heads)
+    assert len(taped_weights) == len(free_weights) == heads
+    for kept, also_kept, ref in zip(taped_weights, free_weights, oracle):
+        np.testing.assert_array_equal(kept, also_kept)
+        np.testing.assert_allclose(kept.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert_near_oracle(kept, ref)
+
+
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_dtam_attention_at_extreme_scores_matches_the_longdouble_oracle(with_bias):
+    # scores near +-600 and ln G down to -1e3: exp of an unshifted score
+    # overflows, and a shift taken before the bias underflows every weight
+    r = np.random.default_rng(11)
+    n, nk, heads, d = 6, 7, 2, 4
+    q, k, v = r.uniform(-1, 1, (n, heads * d)), r.uniform(-1, 1, (nk, heads * d)), \
+        r.uniform(-1, 1, (nk, heads * d))
+    for h in range(heads):  # each query row's largest |score| becomes 600
+        cols = slice(h * d, (h + 1) * d)
+        q[:, cols] *= 600.0 / np.abs(q[:, cols] @ k[:, cols].T).max(axis=1, keepdims=True)
+    runs = [3, 3]
+    bias = -r.uniform(0.0, 1e3, (2, nk))
+    scores = q[0, :d] @ k[:, :d].T
+    top = scores.argmax()
+    bias[0, top] = -1e3  # row 0's largest score sits behind the most negative bias
+    assert scores.max() > 500 and (scores + bias[0]).argmax() != top
+    bias = bias if with_bias else None
+    out = ad.dtam_attention(q, k, v, bias, heads, runs).data
+    oracle, _ = longdouble_attention(q, k, v, None if bias is None else bias.repeat(runs, axis=0),
+                                     heads)
+    assert_near_oracle(out, oracle)
 
 
 @pytest.mark.parametrize("shapes, heads, bias_shape", [
@@ -538,14 +612,14 @@ def test_dtam_attention_backward_over_live_rows(live):
         ad.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(probe))))
         results.append([out.data] + [leaves[name].grad for name in "qkv"])
     (out, dq, dk, dv), looped = results
-    np.testing.assert_array_equal(out, looped[0])
-    if live == "middle_zero_rows":  # nothing after the last live row: no cut
-        for fused, ref in zip((dq, dk, dv), looped[1:]):
-            np.testing.assert_array_equal(fused, ref)
-    else:  # the cut rows add exact zeros; only rounding may differ
-        for fused, ref in zip((dq, dk, dv), looped[1:]):
-            np.testing.assert_allclose(fused, ref, rtol=1e-13, atol=1e-15)
-        assert not dq[zero].any()
+    oracle, _ = longdouble_attention(arrays["q"], arrays["k"], arrays["v"],
+                                     bias.repeat(runs, axis=0), heads)
+    np.testing.assert_allclose(out, oracle, rtol=1e-13, atol=1e-15)
+    # the op's float operations differ from the composition's, and the cut
+    # rows add exact zeros: only rounding may differ
+    for fused, ref in zip((dq, dk, dv), looped[1:]):
+        np.testing.assert_allclose(fused, ref, rtol=1e-13, atol=1e-15)
+    assert not dq[zero].any()
     if live == "all_zero":
         for g in (dq, dk, dv):
             assert g.shape in ((n, dim), (nk, dim)) and not g.any()

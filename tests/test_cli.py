@@ -233,6 +233,50 @@ def test_case_of_the_wrong_size_is_data_error(workspace, tmp_path, command, spli
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def one_epoch_checkpoint(workspace):
+    config = workspace["root"] / "train_1_epoch.json"
+    config.write_text(json.dumps(dict(TRAIN_CFG, epochs=1, warmup_epochs=0)))
+    run = workspace["root"] / "run_1_epoch"
+    assert main(["train", "--config", str(config), "--data", str(workspace["data"]),
+                 "--out", str(run)]) == 0
+    return run / "checkpoint.ntar"
+
+
+@pytest.mark.parametrize("dump_attention", [False, True])
+@pytest.mark.parametrize("out_state", ["absent", "forced"])
+def test_synthesize_removes_what_it_wrote_when_a_later_case_fails(
+        workspace, one_epoch_checkpoint, tmp_path, monkeypatch, out_state, dump_attention,
+        capsys):
+    import phasesynth.cli as cli
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    second = data / [e for e in manifest["cases"] if e["split"] == "test"][1]["path"]
+    named, meta = load_archive(second)
+    _shrink_to_32px(named, meta)
+    save_archive(second, named, meta=meta)
+    saved = []
+    monkeypatch.setattr(cli, "save_pgm", lambda path, image: saved.append(path) or
+                        phasesynth.tensorio.save_pgm(path, image))
+    out = tmp_path / "out"
+    argv = ["synthesize", "--checkpoint", str(one_epoch_checkpoint), "--data", str(data),
+            "--out", str(out)]
+    if out_state == "forced":
+        out.mkdir()
+        (out / "notes.txt").write_text("not ours")
+        argv.append("--force")
+    if dump_attention:
+        argv.append("--dump-attention")
+    assert main(argv) == DATA_ERROR
+    assert "model's image size" in capsys.readouterr().err
+    assert len(saved) == 4  # the first test case's three phases and mask were written
+    if out_state == "absent":
+        assert not out.exists()
+    else:
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
+
 def test_evaluate_report(workspace, tmp_path):
     report_path = tmp_path / "report.json"
     assert main(["evaluate", "--checkpoint", str(workspace["checkpoint"]),
