@@ -354,8 +354,8 @@ def test_dtam_attention_equals_per_head_composition(n, nk, heads, with_bias):
 
 @pytest.mark.parametrize("with_bias", [True, False])
 def test_dtam_attention_output_is_the_same_with_and_without_a_tape(with_bias):
-    # the kept weights are divided by the row sums after z is formed from
-    # the unnormalised ones, so keeping them does not change z
+    # kept weights are divided by the row sums after the value product is
+    # formed from the unnormalised ones, so keeping them changes no output bit
     n, nk, heads = 9, 9, 2
     q, k, v = rng.uniform(-2, 2, (n, 8)), rng.uniform(-2, 2, (nk, 8)), rng.uniform(-1, 1, (nk, 8))
     runs = [3, 3, 3]
@@ -379,8 +379,8 @@ def test_dtam_attention_output_is_the_same_with_and_without_a_tape(with_bias):
 
 @pytest.mark.parametrize("with_bias", [True, False])
 def test_dtam_attention_at_extreme_scores_matches_the_longdouble_oracle(with_bias):
-    # scores near +-600 and ln G down to -1e3: exp of an unshifted score
-    # overflows, and a shift taken before the bias underflows every weight
+    # scores near +-600 and ln G down to -1e3: exp underflows below about
+    # -745, so the shift must be taken after the bias is added
     r = np.random.default_rng(11)
     n, nk, heads, d = 6, 7, 2, 4
     q, k, v = r.uniform(-1, 1, (n, heads * d)), r.uniform(-1, 1, (nk, heads * d)), \
