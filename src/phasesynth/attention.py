@@ -4,22 +4,25 @@ Causality is structural: the token sequence passed in only ever contains
 the current conditional block and previously generated phase blocks, so
 no masking of future positions is needed. Temporal decay multiplies each
 attention weight by exp(-(t_i - t_k)^2 / (2 sigma^2)) and renormalizes;
-numerically this folds ln G into the logits before the stabilized
-softmax, which is mathematically identical.
+numerically this folds ln G into the logits before the softmax, which
+is mathematically identical.
 
 Time stamps are constant within a phase block, so every query row of a
 block has the same ln G over the keys. ``mmhsa_block`` finds the runs of
-equal stamps and builds one bias row per run, a (runs, n) array that
-every head shares.
+equal stamps, evaluates ln G once for each pair of run stamps and
+repeats it over each run's keys: one bias row per run, a (runs, n)
+array that every head shares.
 
-All heads run in one tape node, ``autodiff.dtam_attention``, one run of
-query rows at a time and, within a run, as many heads at a time as fit
-a fixed score budget. Each run's bias row rides in the score matmul as
-one more key row, and the softmax is normalised after the value
-product. It keeps the (heads, n, n) weights only when training needs
-them for ``backward`` or the caller records them (``record``, as
-``synthesize --dump-attention`` does); a forward pass without either
-holds one such chunk of scores at a time.
+All heads run in one tape node, ``autodiff.dtam_attention``, one tile
+at a time: some rows of one run for a group of heads, as many as fit a
+fixed score budget. Each run's bias row rides in the score matmul as
+one more key row. The softmax is taken without the row-maximum shift,
+since ln G <= 0 and each query's own block has ln G = 0 (a tile whose
+sums leave float range is redone with the shift), and is normalised
+after the value product. It keeps the (heads, n, n) weights only when
+training needs them for ``backward`` or the caller records them
+(``record``, as ``synthesize --dump-attention`` does); a forward pass
+without either holds one tile of scores at a time.
 """
 
 from __future__ import annotations
@@ -58,15 +61,10 @@ def gaussian_decay(t_i, t_k, sigma):
 
 
 def decay_log_bias(times_q, times_k, sigma):
-    """ln G of each query stamp against each key stamp; constant w.r.t. the tape.
-
-    Each entry is evaluated on the distinct stamps only, then gathered to
-    token level, so it equals the entrywise formula bit for bit.
-    """
-    uq, iq = np.unique(np.asarray(times_q, dtype=np.float64), return_inverse=True)
-    uk, ik = np.unique(np.asarray(times_k, dtype=np.float64), return_inverse=True)
-    small = np.log(gaussian_decay(uq[:, None], uk[None, :], sigma))
-    return small.take(iq, axis=0).take(ik, axis=1)
+    """ln G of each query stamp against each key stamp; constant w.r.t. the tape."""
+    tq = np.asarray(times_q, dtype=np.float64)
+    tk = np.asarray(times_k, dtype=np.float64)
+    return np.log(gaussian_decay(tq[:, None], tk[None, :], sigma))
 
 
 def mmhsa_block(tokens, token_times, cfg, params, use_decay=True, record=None):
@@ -95,7 +93,8 @@ def mmhsa_block(tokens, token_times, cfg, params, use_decay=True, record=None):
     times = np.asarray(token_times, dtype=np.float64)
     starts = [0, *(np.flatnonzero(times[1:] != times[:-1]) + 1).tolist()]
     runs = [b - a for a, b in zip(starts, starts[1:] + [n])]
-    bias = decay_log_bias(times[starts], times, cfg.sigma) if use_decay else None
+    stamps = times[starts]
+    bias = np.repeat(decay_log_bias(stamps, stamps, cfg.sigma), runs, axis=1) if use_decay else None
     weights = record.setdefault("weights", []) if record is not None else None
     z = ad.dtam_attention(q, k, v, bias, cfg.head_count, runs, weights_out=weights)
     out = ad.linear(z, params["att.out_w"], params["att.out_b"])

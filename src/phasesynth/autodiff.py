@@ -27,13 +27,15 @@ heads) each do in one node what a composition of the elementwise and
 shaping ops did. ``linear`` and ``rearrange``, like ``losses.syn_loss``
 and ``losses.seg_loss`` for the image losses, do the same float
 operations in the same order in the forward. ``dtam_attention`` does
-not: it adds the decay bias inside the score matmul and divides by the
-softmax row sums after the value product, so its output and gradients
-differ from the composition's by rounding. It works one run of query
-rows (one phase block) and one group of heads at a time, so a chunk of
-scores fits ``SCORE_CHUNK_BYTES``. It keeps every head's weights only
-when an input requires a gradient or the caller asks for them; without
-a tape the chunks share one scratch buffer.
+not: it adds the decay bias inside the score matmul, exponentiates the
+scores without subtracting the row maximum (unless that could leave
+float range) and divides by the softmax row sums after the value
+product, so its output and gradients differ from the composition's by
+rounding. It works one tile at a time: some rows of one run of query
+rows (one phase block) for one group of heads, so a tile of scores fits
+``SCORE_CHUNK_BYTES``. It keeps every head's weights only when an input
+requires a gradient or the caller asks for them; without a tape the
+tiles share one scratch buffer.
 
 Live rows: ``dtam_attention``'s adjoints work on the query rows up to
 the last one whose adjoint is not all zero. A later row adds exactly
@@ -292,7 +294,7 @@ def softmax_last_axis(a, bias=None):
     return node(y, (a,), adjoint)
 
 
-SCORE_CHUNK_BYTES = 1 << 20  # one chunk of attention scores stays in cache
+SCORE_CHUNK_BYTES = 1 << 18  # one tile of attention scores stays in L2 cache
 
 
 def _split_heads(x, heads):
@@ -317,21 +319,26 @@ def dtam_attention(q, k, v, bias, heads, runs=None, weights_out=None):
     array shared by every head, or None. Returns the (n, D) concatenation
     of the heads.
 
-    The weights are formed one chunk at a time: one run's rows for a
-    group of heads whose scores fit ``SCORE_CHUNK_BYTES`` (at least one
-    head). A chunk is filled in place: one matmul of the queries, each
-    with a trailing 1, by the keys with a trailing row holding
-    ``bias[i]`` gives ``q k^T + bias``; then the row maximum is
-    subtracted, the exponential taken and the row sums formed. The
-    unnormalised weights are multiplied by ``v_h``, and that product,
-    not the weights, is divided by the row sums, on its way into the
-    head's columns of the output. The (H, n, nk) weights are kept only
-    when some input requires a gradient (the adjoints, batched over
-    heads, read them) or when ``weights_out``, a list, is given; it then
-    receives one (n, nk) array per head. Kept weights are divided by the
-    row sums after the value product, so the output has the same bits
-    either way. Otherwise each chunk is scratch, so a forward pass
-    without a tape holds one chunk at a time.
+    The weights are formed one tile at a time. Each run's rows split into
+    equal tiles of at most ``SCORE_CHUNK_BYTES // (8 nk)`` rows, and the
+    heads into equal groups (a divisor of ``heads``, at least one head)
+    whose tile of scores fits the budget. Per head group, the keys get a
+    trailing row, rewritten to ``bias[i]`` as the tiles reach run i; the
+    queries get a trailing 1, so one matmul gives ``q k^T + bias``. The
+    exponential is taken in place without subtracting the row maximum,
+    and the row sums formed. A tile whose row sums are not finite, are
+    below 1e-200, or times ``max|v|`` exceed 1e200 is redone with the row
+    maximum subtracted, so the result stays within rounding of the exact
+    softmax and NaN inputs still give NaN. The unnormalised weights are
+    multiplied by ``v_h``, and that product, not the weights, is divided
+    by the row sums, on its way into the head's columns of the output.
+    The (H, n, nk) weights are kept only when some input requires a
+    gradient (the adjoints, batched over heads, read them) or when
+    ``weights_out``, a list, is given; it then receives one (n, nk)
+    array per head. Kept weights are divided by the row sums after the
+    value product, so the output has the same bits either way. Otherwise
+    each tile is scratch, so a forward pass without a tape holds one
+    tile at a time.
 
     The backward's softmax row term ``sum_j w_ij (g_i . v_j)`` is formed
     as ``g_i . z_i``, over (H, rows, d_h) rather than (H, rows, nk).
@@ -361,38 +368,55 @@ def dtam_attention(q, k, v, bias, heads, runs=None, weights_out=None):
     w = np.empty((heads, n, nk)) if keep else None
     out = np.empty((n, dim))
     z = _split_heads(out, heads)  # each head's view of its output columns
-    # heads per chunk, so that a chunk's scores fit SCORE_CHUNK_BYTES
-    groups = [min(heads, max(1, SCORE_CHUNK_BYTES // (8 * nk * rows))) for rows in runs]
-    largest = max((group * rows for group, rows in zip(groups, runs)), default=0)
-    scratch = None if keep else np.empty(largest * nk)
-    # chunk scratch: the score matmul adds the bias, as the queries get a
+    # tiles: each run's rows split into equal tiles of at most `cap` rows, and
+    # the heads into equal groups whose tile of scores fits SCORE_CHUNK_BYTES
+    cap = max(1, SCORE_CHUNK_BYTES // (8 * nk))
+    tiles, lo = [], 0
+    for i, rows in enumerate(runs):
+        parts = -(-rows // cap)
+        cuts = [lo + rows * j // parts for j in range(parts + 1)]
+        tiles += [(i, a, b) for a, b in zip(cuts, cuts[1:])]
+        lo += rows
+    t = max((hi - lo for _, lo, hi in tiles), default=0)
+    group = max((g for g in range(1, heads + 1)
+                 if heads % g == 0 and 8 * g * t * nk <= SCORE_CHUNK_BYTES), default=1)
+    scratch = None if keep else np.empty(group * t * nk)
+    # tile scratch: the score matmul adds the bias, as the queries get a
     # trailing 1 and the keys a trailing row holding the run's ln G (zeros
     # without one); the value product is normalised on its way into z
-    q1, z1 = np.empty(largest * (d_h + 1)), np.empty(largest * d_h)
-    k1 = np.zeros((max(groups, default=1), d_h + 1, nk))
-    lo = 0
-    for i, (rows, group) in enumerate(zip(runs, groups)):
-        hi = lo + rows
+    q1, z1 = np.empty(group * t * (d_h + 1)), np.empty(group * t * d_h)
+    k1 = np.zeros((group, d_h + 1, nk))
+    # the unshifted softmax loses nothing to the shifted one unless the row
+    # sums or the value product leave float range; such a tile (an infinite
+    # sum fails the ceiling test, a NaN both tests) is redone with the row
+    # max, so an overflow in the first exp is expected and not reported
+    vmax = max(v.data.max(), -v.data.min())
+    with np.errstate(over="ignore"):
         for h in range(0, heads, group):
-            hs = slice(h, min(h + group, heads))
-            nh = hs.stop - h
-            wc = w[hs, lo:hi] if keep else scratch[:nh * rows * nk].reshape(nh, rows, nk)
-            qc, kc = q1[:nh * rows * (d_h + 1)].reshape(nh, rows, d_h + 1), k1[:nh]
-            qc[..., :d_h] = qh[hs, lo:hi]
-            qc[..., d_h] = 1.0
-            kc[:, :d_h] = kt[hs]
-            if bias is not None:
-                kc[:, d_h] = bias[i]
-            np.matmul(qc, kc, out=wc)
-            wc -= wc.max(axis=-1, keepdims=True)
-            np.exp(wc, out=wc)
-            total = wc.sum(axis=-1, keepdims=True)
-            zc = z1[:nh * rows * d_h].reshape(nh, rows, d_h)
-            np.matmul(wc, vh[hs], out=zc)
-            np.divide(zc, total, out=z[hs, lo:hi])
-            if keep:
-                wc /= total
-        lo = hi
+            hs = slice(h, h + group)
+            k1[:, :d_h] = kt[hs]
+            run = None
+            for i, lo, hi in tiles:
+                if bias is not None and i != run:
+                    k1[:, d_h], run = bias[i], i
+                rows = hi - lo
+                wc = w[hs, lo:hi] if keep else scratch[:group * rows * nk].reshape(group, rows, nk)
+                qc = q1[:group * rows * (d_h + 1)].reshape(group, rows, d_h + 1)
+                qc[..., :d_h] = qh[hs, lo:hi]
+                qc[..., d_h] = 1.0
+                np.matmul(qc, k1, out=wc)
+                np.exp(wc, out=wc)
+                total = wc.sum(axis=-1, keepdims=True)
+                if not (total.min() >= 1e-200 and total.max() * vmax <= 1e200):
+                    np.matmul(qc, k1, out=wc)
+                    wc -= wc.max(axis=-1, keepdims=True)
+                    np.exp(wc, out=wc)
+                    total = wc.sum(axis=-1, keepdims=True)
+                zc = z1[:group * rows * d_h].reshape(group, rows, d_h)
+                np.matmul(wc, vh[hs], out=zc)
+                np.divide(zc, total, out=z[hs, lo:hi])
+                if keep:
+                    wc /= total
     if weights_out is not None:
         weights_out.extend(w)
 

@@ -81,7 +81,7 @@ def encode_features(ncmri, tumor_mask, cfg, params):
     mix = ad.Tensor(neighbor_mix_matrix(grid))
     for s in range(cfg.depth):
         h = ad.relu(ad.linear(x, params[f"enc.mix{s}_w"], params[f"enc.mix{s}_b"]))
-        x = ad.add(x, ad.matmul(mix, h))
+        x = ad.add(x, ad.linear(mix, h))
     return ad.linear(x, params["enc.proj_w"], params["enc.proj_b"])
 
 

@@ -235,6 +235,30 @@ def test_block_builds_decay_bias_once_for_all_heads(monkeypatch, use_decay, expe
     assert len(calls) == expected
 
 
+@pytest.mark.parametrize("use_decay", [True, False])
+def test_block_bias_equals_the_token_level_entrywise_bias(monkeypatch, use_decay):
+    # the current block first, then the prior blocks in time order
+    seen = []
+
+    def spy(q, k, v, bias, heads, runs, weights_out=None):
+        seen.append((bias, runs))
+        return attention_op(q, k, v, bias, heads, runs, weights_out)
+
+    attention_op = ad.dtam_attention
+    monkeypatch.setattr(ad, "dtam_attention", spy)
+    d, sigma = 8, 0.35
+    times = np.repeat([0.9, 0.25, 0.55], [4, 3, 5])
+    mmhsa_block(ad.Tensor(rng.uniform(-1, 1, (12, d))), times, DtamConfig(sigma=sigma),
+                block_params(d, 12), use_decay=use_decay)
+    (bias, runs), = seen
+    assert runs == [4, 3, 5]
+    if use_decay:
+        np.testing.assert_array_equal(bias.repeat(runs, axis=0),
+                                      entrywise_log_bias(times, times, sigma))
+    else:
+        assert bias is None
+
+
 def test_block_heads_match_per_head_dtam_weights():
     d, heads = 8, 4
     tokens = ad.Tensor(rng.uniform(-1, 1, (6, d)))
@@ -242,8 +266,10 @@ def test_block_heads_match_per_head_dtam_weights():
     trained = block_params(d, 10, seed=5)
     # detached parameters are what synthesize --dump-attention loads
     detached = {name: ad.Tensor(t.data) for name, t in trained.items()}
+    records = []
     for params in (trained, detached):
         record = {}
+        records.append(record)
         mmhsa_block(tokens, times, DtamConfig(head_count=heads), params, record=record)
         h = ad.add(ad.linear(tokens, params["att.in_w"], params["att.in_b"]),
                    ad.slice_axis(params["att.pos"], 0, 0, 6))
@@ -253,7 +279,10 @@ def test_block_heads_match_per_head_dtam_weights():
         for i, w in enumerate(record["weights"]):
             ref = dtam_weights(ad.slice_axis(q, 1, i * hd, (i + 1) * hd),
                                ad.slice_axis(k, 1, i * hd, (i + 1) * hd), times, times, 0.7)
-            np.testing.assert_array_equal(w, ref.data)
+            # the kernel's softmax is unshifted, the composition's shifted
+            np.testing.assert_allclose(w, ref.data, rtol=1e-13, atol=0)
+    for kept, also_kept in zip(*(r["weights"] for r in records)):
+        np.testing.assert_array_equal(kept, also_kept)
 
 
 @pytest.mark.parametrize("phase", [1, 2, 3])

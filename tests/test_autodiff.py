@@ -401,6 +401,66 @@ def test_dtam_attention_at_extreme_scores_matches_the_longdouble_oracle(with_bia
     assert_near_oracle(out, oracle)
 
 
+@pytest.mark.parametrize("with_bias", [True, False])
+@pytest.mark.parametrize("budget, tile_rows, group", [
+    (8 * 9 * 2, [1, 2, 2, 2, 1, 2, 2], 1),  # at most 2 rows a tile, one head a group
+    (8 * 9 * 4, [3, 4, 2, 3], 1),  # at most 4 rows a tile
+    (8 * 9 * 14, [7, 5], 2),  # a run a tile, two heads a group
+])
+def test_dtam_attention_in_small_tiles_matches_the_longdouble_oracle(
+        monkeypatch, budget, tile_rows, group, with_bias):
+    # a smaller score budget splits the runs [7, 5] into equal row tiles and
+    # the 4 heads into equal groups; the tiles are what np.exp sees
+    n, nk, heads = 12, 9, 4
+    q, k, v = rng.uniform(-2, 2, (n, 8)), rng.uniform(-2, 2, (nk, 8)), rng.uniform(-1, 1, (nk, 8))
+    runs = [7, 5]
+    bias = np.log(rng.uniform(0.05, 1.0, (2, nk))) if with_bias else None
+    exp, tiles = np.exp, []
+
+    def spy(x, *args, **kwargs):
+        tiles.append(x.shape)
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "SCORE_CHUNK_BYTES", budget)
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "exp", spy)
+        free = ad.dtam_attention(q, k, v, bias, heads, runs).data
+    assert tiles == [(group, rows, nk) for rows in tile_rows] * (heads // group)
+    kept = []
+    taped = ad.dtam_attention(ad.Tensor(q, requires_grad=True), k, v, bias, heads, runs,
+                              weights_out=kept)
+    np.testing.assert_array_equal(taped.data, free)
+    oracle, weights = longdouble_attention(
+        q, k, v, None if bias is None else bias.repeat(runs, axis=0), heads)
+    assert_near_oracle(free, oracle)
+    for w, ref in zip(kept, weights):
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert_near_oracle(w, ref)
+
+
+@pytest.mark.parametrize("trigger", ["overflow", "underflow", "ceiling"])
+def test_dtam_attention_falls_back_to_the_shifted_softmax(trigger):
+    # each case breaks the unshifted exp(q k^T + ln G) of one tile: a row sum
+    # overflows (a score near 800), underflows (every ln G of a run at most
+    # -1e3) or times max|v| passes 1e200 (scores near 700, |v| up to 1e10)
+    r = np.random.default_rng(13)
+    n, nk, heads, d = 6, 7, 2, 4
+    q, k, v = r.uniform(-1, 1, (n, heads * d)), r.uniform(-1, 1, (nk, heads * d)), \
+        r.uniform(-1, 1, (nk, heads * d))
+    runs = [3, 3]
+    bias = np.log(r.uniform(0.05, 1.0, (2, nk)))
+    if trigger == "underflow":
+        bias[0] = -r.uniform(1e3, 1.2e3, nk)
+    else:
+        top = 800.0 if trigger == "overflow" else 700.0
+        q[1, :d] *= top / (q[1, :d] @ k[:, :d].T).max()
+        if trigger == "ceiling":
+            v[:, :d] *= 1e10
+    out = ad.dtam_attention(q, k, v, bias, heads, runs).data
+    oracle, _ = longdouble_attention(q, k, v, bias.repeat(runs, axis=0), heads)
+    assert_near_oracle(out, oracle)
+
+
 @pytest.mark.parametrize("shapes, heads, bias_shape", [
     (((4, 8), (5, 8), (5, 8, 1)), 2, None),  # v not 2-D
     (((4, 8), (5, 6), (5, 8)), 2, None),  # key width differs
@@ -424,7 +484,8 @@ def test_dtam_attention_rejects_bad_shapes(shapes, heads, bias_shape):
 
 
 def test_detached_dtam_attention_holds_one_score_matrix_at_a_time():
-    # the 128 px model's delay phase: three blocks of 257 tokens
+    # the 128 px model's delay phase: three blocks of 257 tokens; beyond the
+    # output, only tiles of SCORE_CHUNK_BYTES scores and their scratch
     import tracemalloc
     n, dim, heads = 771, 64, 4
     q, k, v = (ad.Tensor(rng.uniform(-1, 1, (n, dim))) for _ in range(3))
@@ -437,7 +498,7 @@ def test_detached_dtam_attention_holds_one_score_matrix_at_a_time():
     finally:
         tracemalloc.stop()
     assert out.shape == (n, dim)
-    assert peak < n * n * 8, f"peak {peak / 2**20:.2f} MiB"
+    assert peak < n * dim * 8 + 4 * ad.SCORE_CHUNK_BYTES, f"peak {peak / 2**20:.2f} MiB"
 
 
 # ---------------------------------------------------------------------------
