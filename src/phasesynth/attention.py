@@ -17,10 +17,12 @@ All heads run in one tape node, ``autodiff.dtam_attention``, one tile
 at a time: some rows of one run for a group of heads, as many as fit a
 fixed score budget. Each run's bias row rides in the score matmul as
 one more key row. The softmax is taken without the row-maximum shift,
-since ln G <= 0 and each query's own block has ln G = 0 (a tile whose
-sums leave float range is redone with the shift), and is normalised
-after the value product. It keeps the (heads, n, n) weights only when
-training needs them for ``backward`` or the caller records them
+since ln G <= 0 and each query's own block has ln G = 0, and its row
+sums come from the value matmul, through a column of ones beside the
+values. The range check of those sums (a tile whose sums leave float
+range is redone with the shift) and the normalisation run once per head
+group, after the value product. It keeps the (heads, n, n) weights only
+when training needs them for ``backward`` or the caller records them
 (``record``, as ``synthesize --dump-attention`` does); a forward pass
 without either holds one tile of scores at a time.
 """

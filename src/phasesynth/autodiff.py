@@ -25,17 +25,20 @@ Fused ops keep the training tape short: ``linear`` (``x @ w (+ b)``),
 ``dtam_attention`` (multi-head attention, its backward batched over
 heads) each do in one node what a composition of the elementwise and
 shaping ops did. ``linear`` and ``rearrange``, like ``losses.syn_loss``
-and ``losses.seg_loss`` for the image losses, do the same float
-operations in the same order in the forward. ``dtam_attention`` does
-not: it adds the decay bias inside the score matmul, exponentiates the
-scores without subtracting the row maximum (unless that could leave
-float range) and divides by the softmax row sums after the value
-product, so its output and gradients differ from the composition's by
-rounding. It works one tile at a time: some rows of one run of query
-rows (one phase block) for one group of heads, so a tile of scores fits
-``SCORE_CHUNK_BYTES``. It keeps every head's weights only when an input
-requires a gradient or the caller asks for them; without a tape the
-tiles share one scratch buffer.
+and ``losses.seg_loss`` and ``losses.total_loss`` for the losses, do the
+same float operations in the same order in the forward.
+``dtam_attention`` does not: it adds the decay bias inside the score
+matmul, exponentiates the scores without subtracting the row maximum
+(unless that could leave float range), and takes the softmax row sums
+from the value matmul, through a column of ones beside the values, so
+its output and gradients differ from the composition's by rounding. It
+works one tile at a time: some rows of one run of query rows (one phase
+block) for one group of heads, so a tile of scores fits
+``SCORE_CHUNK_BYTES``; a tile is two matmuls and one ``exp``. The range
+check of the row sums and the normalisation run once per head group.
+It keeps every head's weights only when an input requires a gradient or
+the caller asks for them; without a tape the tiles share one scratch
+buffer.
 
 Live rows: ``dtam_attention``'s adjoints work on the query rows up to
 the last one whose adjoint is not all zero. A later row adds exactly
@@ -322,23 +325,25 @@ def dtam_attention(q, k, v, bias, heads, runs=None, weights_out=None):
     The weights are formed one tile at a time. Each run's rows split into
     equal tiles of at most ``SCORE_CHUNK_BYTES // (8 nk)`` rows, and the
     heads into equal groups (a divisor of ``heads``, at least one head)
-    whose tile of scores fits the budget. Per head group, the keys get a
-    trailing row, rewritten to ``bias[i]`` as the tiles reach run i; the
-    queries get a trailing 1, so one matmul gives ``q k^T + bias``. The
-    exponential is taken in place without subtracting the row maximum,
-    and the row sums formed. A tile whose row sums are not finite, are
-    below 1e-200, or times ``max|v|`` exceed 1e200 is redone with the row
-    maximum subtracted, so the result stays within rounding of the exact
-    softmax and NaN inputs still give NaN. The unnormalised weights are
-    multiplied by ``v_h``, and that product, not the weights, is divided
-    by the row sums, on its way into the head's columns of the output.
-    The (H, n, nk) weights are kept only when some input requires a
-    gradient (the adjoints, batched over heads, read them) or when
-    ``weights_out``, a list, is given; it then receives one (n, nk)
+    whose tile of scores fits the budget. Per head group, the queries get
+    a trailing 1 and the keys a trailing row, rewritten to ``bias[i]`` as
+    the tiles reach run i, so one matmul gives ``q k^T + bias``; the
+    values get a trailing column of ones. A tile is that matmul, the
+    exponential in place without subtracting the row maximum, and the
+    matmul by the values, whose last column is each row's sum of
+    weights. After the group's tiles the row sums are checked once: a
+    tile holding a row whose sum is not finite, is below 1e-200, or times
+    ``max|v|`` exceeds 1e200 is redone with the row maximum subtracted,
+    so the result stays within rounding of the exact softmax and NaN
+    inputs still give NaN. Then the value product, not the weights, is
+    divided by the row sums, once for the group, into the heads' columns
+    of the output. The (H, n, nk) weights are kept only when some input
+    requires a gradient (the adjoints, batched over heads, read them) or
+    when ``weights_out``, a list, is given; it then receives one (n, nk)
     array per head. Kept weights are divided by the row sums after the
     value product, so the output has the same bits either way. Otherwise
     each tile is scratch, so a forward pass without a tape holds one
-    tile at a time.
+    tile of scores at a time.
 
     The backward's softmax row term ``sum_j w_ij (g_i . v_j)`` is formed
     as ``g_i . z_i``, over (H, rows, d_h) rather than (H, rows, nk).
@@ -381,42 +386,48 @@ def dtam_attention(q, k, v, bias, heads, runs=None, weights_out=None):
     group = max((g for g in range(1, heads + 1)
                  if heads % g == 0 and 8 * g * t * nk <= SCORE_CHUNK_BYTES), default=1)
     scratch = None if keep else np.empty(group * t * nk)
-    # tile scratch: the score matmul adds the bias, as the queries get a
-    # trailing 1 and the keys a trailing row holding the run's ln G (zeros
-    # without one); the value product is normalised on its way into z
-    q1, z1 = np.empty(group * t * (d_h + 1)), np.empty(group * t * d_h)
+    # per head group, the queries get a trailing 1 and the keys a trailing row
+    # holding the run's ln G (zeros without one), so the score matmul adds the
+    # bias; the values get a trailing column of ones, so the value matmul also
+    # forms each row's sum of weights, in z1's last column. Tiles are views.
+    q1, v1, z1 = (np.empty((group, rows, d_h + 1)) for rows in (n, nk, n))
+    q1[..., d_h] = v1[..., d_h] = 1.0
     k1 = np.zeros((group, d_h + 1, nk))
-    # the unshifted softmax loses nothing to the shifted one unless the row
-    # sums or the value product leave float range; such a tile (an infinite
-    # sum fails the ceiling test, a NaN both tests) is redone with the row
-    # max, so an overflow in the first exp is expected and not reported
+    total = z1[..., d_h:]
+
+    def tile(hs, lo, hi, shift):
+        wc = w[hs, lo:hi] if keep else scratch[:group * (hi - lo) * nk].reshape(group, hi - lo, nk)
+        np.matmul(q1[:, lo:hi], k1, out=wc)
+        if shift:
+            wc -= wc.max(axis=-1, keepdims=True)
+        np.exp(wc, out=wc)
+        np.matmul(wc, v1, out=z1[:, lo:hi])
+
+    # the unshifted softmax loses nothing to the shifted one unless a row sum
+    # or the value product leaves float range. A tile holding such a row (an
+    # infinite sum fails the ceiling test, a NaN both tests) is redone with
+    # the row max, so overflow and invalid values in the first pass are
+    # expected and not reported
     vmax = max(v.data.max(), -v.data.min())
     with np.errstate(over="ignore"):
         for h in range(0, heads, group):
             hs = slice(h, h + group)
-            k1[:, :d_h] = kt[hs]
-            run = None
+            q1[..., :d_h], v1[..., :d_h], k1[:, :d_h] = qh[hs], vh[hs], kt[hs]
+            with np.errstate(invalid="ignore"):
+                run = None
+                for i, lo, hi in tiles:
+                    if bias is not None and i != run:
+                        k1[:, d_h], run = bias[i], i
+                    tile(hs, lo, hi, False)
+                ok = (total >= 1e-200) & (total * vmax <= 1e200)
             for i, lo, hi in tiles:
-                if bias is not None and i != run:
-                    k1[:, d_h], run = bias[i], i
-                rows = hi - lo
-                wc = w[hs, lo:hi] if keep else scratch[:group * rows * nk].reshape(group, rows, nk)
-                qc = q1[:group * rows * (d_h + 1)].reshape(group, rows, d_h + 1)
-                qc[..., :d_h] = qh[hs, lo:hi]
-                qc[..., d_h] = 1.0
-                np.matmul(qc, k1, out=wc)
-                np.exp(wc, out=wc)
-                total = wc.sum(axis=-1, keepdims=True)
-                if not (total.min() >= 1e-200 and total.max() * vmax <= 1e200):
-                    np.matmul(qc, k1, out=wc)
-                    wc -= wc.max(axis=-1, keepdims=True)
-                    np.exp(wc, out=wc)
-                    total = wc.sum(axis=-1, keepdims=True)
-                zc = z1[:group * rows * d_h].reshape(group, rows, d_h)
-                np.matmul(wc, vh[hs], out=zc)
-                np.divide(zc, total, out=z[hs, lo:hi])
-                if keep:
-                    wc /= total
+                if not ok[:, lo:hi].all():
+                    if bias is not None:
+                        k1[:, d_h] = bias[i]
+                    tile(hs, lo, hi, True)
+            np.divide(z1[..., :d_h], total, out=z[hs])
+            if keep:
+                w[hs] /= total
     if weights_out is not None:
         weights_out.extend(w)
 
@@ -468,7 +479,9 @@ def linear(x, w, b=None):
 
     The forward does what a matmul node and an add node did, in the same
     order (a 1-D x is multiplied as one row), and x, w and b get one
-    adjoint each; b's sums the rows, as ``_unbroadcast`` does.
+    adjoint each; b's sums the rows, as ``_unbroadcast`` does. The bias is
+    added in place into the fresh product, so no second (rows, out) array
+    is made; b must therefore broadcast to the product's shape.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim not in (1, 2) or w.data.ndim != 2 or x.shape[-1] != w.shape[0]:
@@ -487,8 +500,10 @@ def linear(x, w, b=None):
     if b is None:
         return node(y, (x, w), dx, dw)
     b = as_tensor(b)
-    _broadcast_shape(y.shape, b.shape)
-    return node(y + b.data, (x, w, b), dx, dw, lambda g: _unbroadcast(g, b.shape))
+    if _broadcast_shape(y.shape, b.shape) != y.shape:
+        raise DimensionError(f"linear bias {b.shape} does not fit the product {y.shape}")
+    y += b.data
+    return node(y, (x, w, b), dx, dw, lambda g: _unbroadcast(g, b.shape))
 
 
 def rearrange(a, split, axes, shape):

@@ -111,12 +111,22 @@ def cls_loss(class_probs, label):
 
 
 def total_loss(l_syn, l_seg, l_cls, l_tcc, weights):
-    """Weighted sum; dice/ce weights are already folded into l_seg."""
-    for name, part in (("syn", l_syn), ("seg", l_seg), ("cls", l_cls), ("tcc", l_tcc)):
-        if not np.isfinite(part.data).all():
+    """Weighted sum ``(syn + seg) + (cls w_cls + tcc w_tcc)`` of the scalar
+    parts, as one node; dice/ce weights are already folded into l_seg.
+
+    The forward does the float operations of the add and scale nodes it
+    replaces, in their order; the adjoints are g, g, g w_cls and g w_tcc.
+    """
+    parts = [ad.as_tensor(p) for p in (l_syn, l_seg, l_cls, l_tcc)]
+    for name, part in zip(("syn", "seg", "cls", "tcc"), parts):
+        if part.shape != ():
+            raise ContractError(f"{name} loss has shape {part.shape}, not a scalar")
+        if not np.isfinite(part.data):
             raise NumericalError(f"non-finite {name} loss")
-    return ad.add(ad.add(l_syn, l_seg),
-                  ad.add(ad.scale(l_cls, weights.cls), ad.scale(l_tcc, weights.tcc)))
+    w_cls, w_tcc = float(weights.cls), float(weights.tcc)
+    syn, seg, cls, tcc = (p.data for p in parts)
+    return ad.node((syn + seg) + (cls * w_cls + tcc * w_tcc), parts,
+                   lambda g: g, lambda g: g, lambda g: g * w_cls, lambda g: g * w_tcc)
 
 
 def lr_at(epoch, base_lr, warmup_epochs, epochs):

@@ -7,7 +7,8 @@ uses uniform 8x8 windows (stride 1) with population statistics
 8 shifted row slices and then 8 shifted column slices, divided by 64, so
 no per-window copy of the image is made. HD95 interpolates the sorted
 distances exactly as ``np.percentile`` does by default. PSNR is capped
-at 100 dB so aggregates over identical images stay finite.
+at 100 dB so aggregates over identical images stay finite; a NaN error
+gives a NaN PSNR, never the cap.
 """
 
 from __future__ import annotations
@@ -37,14 +38,15 @@ def mse(a, b):
 
 
 def psnr(a, b):
-    """10 log10(1 / MSE) for data range 1, capped at 100 dB."""
+    """10 log10(1 / MSE) for data range 1, capped at 100 dB; NaN for a NaN MSE."""
     return _psnr_of_mse(mse(a, b))
 
 
 def _psnr_of_mse(err):
     if err <= 0.0:
         return PSNR_CAP
-    return float(min(PSNR_CAP, 10.0 * np.log10(1.0 / err)))
+    # np.minimum keeps a NaN error NaN; min(PSNR_CAP, nan) would read as a perfect score
+    return float(np.minimum(PSNR_CAP, 10.0 * np.log10(1.0 / err)))
 
 
 def ssim(a, b):
@@ -199,7 +201,8 @@ def classification_metrics(predictions, labels):
 
 def load_checkpoint(path):
     """Return (params, ModelConfig, meta); the tensors must be exactly the
-    names and shapes ``param_shapes`` gives for the stored model config."""
+    names and shapes ``param_shapes`` gives for the stored model config,
+    and hold only finite values."""
     arrays, meta = load_archive(path)
     try:
         cfg = ModelConfig.from_dict(meta["config"]["model"], complete=True)
@@ -223,6 +226,8 @@ def load_checkpoint(path):
             raise ContractError(
                 f"{path}: parameter {name!r} has shape {arrays[name].shape}, "
                 f"the model config needs {shape}")
+        if not np.isfinite(arrays[name]).all():
+            raise ContractError(f"{path}: parameter {name!r} holds a NaN or infinite value")
     params = {name: ad.Tensor(arr) for name, arr in arrays.items()}
     return params, cfg, meta
 

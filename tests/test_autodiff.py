@@ -461,6 +461,67 @@ def test_dtam_attention_falls_back_to_the_shifted_softmax(trigger):
     assert_near_oracle(out, oracle)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("damage", ["nan_q_row", "nan_v", "inf_k_row", "ninf_bias"])
+def test_dtam_attention_with_non_finite_inputs_matches_the_longdouble_oracle(damage):
+    # the row sums now come from the value matmul and are range-checked once
+    # per head group: a non-finite input must still give the oracle's NaN and
+    # infinite entries, and leave every other entry within rounding
+    r = np.random.default_rng(17)
+    n, nk, heads = 6, 7, 2
+    q, k, v = r.uniform(-1, 1, (n, 8)), r.uniform(-1, 1, (nk, 8)), r.uniform(-1, 1, (nk, 8))
+    runs = [3, 3]
+    bias = np.log(r.uniform(0.05, 1.0, (2, nk)))
+    if damage == "nan_q_row":
+        q[4] = np.nan
+    elif damage == "nan_v":
+        v[2, 5] = np.nan
+    elif damage == "inf_k_row":
+        k[3] = np.inf
+    else:
+        bias[1, 2] = -np.inf
+    out = ad.dtam_attention(q, k, v, bias, heads, runs).data
+    oracle, _ = longdouble_attention(q, k, v, bias.repeat(runs, axis=0), heads)
+    np.testing.assert_array_equal(np.isnan(out), np.isnan(oracle))
+    np.testing.assert_array_equal(np.isinf(out), np.isinf(oracle))
+    finite = np.isfinite(oracle)
+    assert finite.any() and (damage == "ninf_bias" or not finite.all())
+    assert np.abs(out[finite] - oracle[finite]).max() <= 1e-13 * np.abs(oracle[finite]).max()
+
+
+@pytest.mark.parametrize("trigger", ["overflow", "underflow", "ceiling"])
+def test_dtam_attention_redoes_only_the_tile_with_a_failing_row(monkeypatch, trigger):
+    # a 288-byte budget splits runs [7, 5] into tiles of 3, 4, 2 and 3 rows,
+    # one head a group; row 4, in the second tile of the first run, breaks
+    # the unshifted softmax of head 0 only, so that one tile is redone
+    r = np.random.default_rng(19)
+    n, nk, heads, d = 12, 9, 4, 2
+    q, k, v = r.uniform(-1, 1, (n, 8)), r.uniform(-1, 1, (nk, 8)), r.uniform(-1, 1, (nk, 8))
+    runs = [7, 5]
+    bias = np.log(r.uniform(0.05, 1.0, (2, nk)))
+    if trigger == "underflow":  # every score of the row at most -600
+        k[:, :d] = r.uniform(0.5, 1.0, (nk, d))
+        q[4, :d] = -600.0
+    else:
+        q[4, :d] *= (800.0 if trigger == "overflow" else 700.0) / (q[4, :d] @ k[:, :d].T).max()
+        if trigger == "ceiling":
+            v[:, :d] *= 1e10
+    exp, tiles = np.exp, []
+
+    def spy(x, *args, **kwargs):
+        tiles.append(x.shape)
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "SCORE_CHUNK_BYTES", 8 * 9 * 4)
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "exp", spy)
+        out = ad.dtam_attention(q, k, v, bias, heads, runs).data
+    first_pass = [(1, rows, nk) for rows in (3, 4, 2, 3)]
+    assert tiles == first_pass + [(1, 4, nk)] + first_pass * (heads - 1)
+    oracle, _ = longdouble_attention(q, k, v, bias.repeat(runs, axis=0), heads)
+    assert_near_oracle(out, oracle)
+
+
 @pytest.mark.parametrize("shapes, heads, bias_shape", [
     (((4, 8), (5, 8), (5, 8, 1)), 2, None),  # v not 2-D
     (((4, 8), (5, 6), (5, 8)), 2, None),  # key width differs
@@ -577,6 +638,21 @@ def test_linear_is_one_node_equal_to_the_composition(x_shape, with_bias):
     assert ad.linear(*leaves)._parents == tuple(leaves)
 
 
+@pytest.mark.parametrize("x_shape", [(5,), (3, 5)])
+def test_linear_adds_the_bias_in_place_without_touching_its_inputs(x_shape):
+    # x @ w + b bit for bit (a 1-D x multiplied as one row); the bias goes
+    # into the fresh product, never into x, w or b, also when two calls share b
+    x, w, b = rng.uniform(-1, 1, x_shape), rng.uniform(-1, 1, (5, 4)), rng.uniform(-1, 1, 4)
+    kept = [a.copy() for a in (x, w, b)]
+    bias = ad.Tensor(b, requires_grad=True)
+    for rows in (x, 2.0 * x):
+        y = ad.linear(ad.Tensor(rows), ad.Tensor(w), bias).data
+        np.testing.assert_array_equal(y, (np.atleast_2d(rows) @ w).reshape(y.shape) + b)
+        assert not np.shares_memory(y, b)
+    for a, orig in zip((x, w, b, bias.data), kept + [kept[2]]):
+        np.testing.assert_array_equal(a, orig)
+
+
 def test_linear_rejects_bad_shapes():
     with pytest.raises(DimensionError):
         ad.linear(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((4, 2))))
@@ -585,6 +661,9 @@ def test_linear_rejects_bad_shapes():
     with pytest.raises(DimensionError):
         ad.linear(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 2))),
                   ad.Tensor(np.zeros(3)))
+    with pytest.raises(DimensionError):  # a bias wider than the product
+        ad.linear(ad.Tensor(np.zeros(3)), ad.Tensor(np.zeros((3, 2))),
+                  ad.Tensor(np.zeros((4, 2))))
 
 
 def test_rearrange_is_one_node_equal_to_reshape_transpose_reshape():
@@ -651,6 +730,26 @@ def test_seg_loss_is_one_node_equal_to_the_composition(dice_w, ce_w):
         lambda t: seg_loss_composition([t["a"], t["b"], t["c"]], gt, weights), arrays)
     for a, b in zip(fused, composed):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("cls_w, tcc_w", [(1.0, 1.0), (0.3, 2.5), (1.7, 0.0)])
+def test_total_loss_is_one_node_equal_to_the_composition(cls_w, tcc_w):
+    from phasesynth.losses import LossWeights, total_loss
+    weights = LossWeights(cls=cls_w, tcc=tcc_w)
+    names = ("syn", "seg", "cls", "tcc")
+    arrays = {name: rng.uniform(0.1, 3.0, ()) for name in names}
+
+    def composed(t):
+        # the add and scale nodes of ``total_loss`` before it was fused
+        return ad.add(ad.add(t["syn"], t["seg"]),
+                      ad.add(ad.scale(t["cls"], cls_w), ad.scale(t["tcc"], tcc_w)))
+
+    fused, composed = run_both(lambda t: total_loss(*(t[name] for name in names), weights),
+                               composed, arrays)
+    for a, b in zip(fused, composed):
+        np.testing.assert_array_equal(a, b)
+    leaves = [ad.Tensor(arrays[name], requires_grad=True) for name in names]
+    assert total_loss(*leaves, weights)._parents == tuple(leaves)
 
 
 @pytest.mark.parametrize("live", ["trailing_zero_rows", "all_zero", "middle_zero_rows"])

@@ -402,6 +402,23 @@ def test_checkpoint_parameters_must_match_the_model_config(workspace, tmp_path, 
 
 
 @pytest.mark.parametrize("command", ["evaluate", "synthesize"])
+@pytest.mark.parametrize("name, bad", [("dec.img_w", math.nan), ("att.q_w", math.inf),
+                                       ("cls.fuse_b", -math.inf)])
+def test_checkpoint_with_a_non_finite_parameter_is_data_error(workspace, tmp_path, command,
+                                                              name, bad, capsys):
+    # a NaN weight made evaluate score PSNR 100 and synthesize write NaN signals
+    arrays, meta = load_archive(workspace["checkpoint"])
+    arrays[name].flat[0] = bad
+    broken = tmp_path / "broken.ntar"
+    save_archive(broken, arrays, meta=meta)
+    out = tmp_path / "out"
+    assert main([command, "--checkpoint", str(broken),
+                 "--data", str(workspace["data"]), "--out", str(out)]) == DATA_ERROR
+    assert repr(name) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "synthesize"])
 def test_checkpoint_with_tcc_signal_network_is_data_error(workspace, tmp_path, command,
                                                           capsys):
     # a checkpoint from before the TCC signal became parameter-free

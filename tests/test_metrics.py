@@ -102,6 +102,14 @@ def test_psnr_monotone_in_mse():
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
+def test_psnr_of_a_nan_image_is_nan_not_the_cap():
+    a = rng.uniform(0, 1, (8, 8))
+    b = a.copy()
+    b[3, 4] = np.nan
+    assert np.isnan(psnr(a, b))
+    assert np.isnan(psnr(b, b))
+
+
 def test_mse_shape_mismatch():
     with pytest.raises(ContractError):
         mse(np.zeros((4, 4)), np.zeros((4, 5)))

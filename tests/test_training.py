@@ -182,7 +182,7 @@ def test_default_model_case_tape_is_short_and_keeps_its_parts():
     # the benchmark's finite-difference probe reads these parts
     for name in ("syn", "seg", "cls", "total"):
         assert isinstance(parts[name], ad.Tensor) and parts[name].shape == ()
-    assert count_tape_nodes(parts["total"]) <= 115
+    assert count_tape_nodes(parts["total"]) <= 108
 
 
 def test_evaluate_report_numbers_are_python_scalars(tiny_run):
