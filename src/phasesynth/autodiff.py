@@ -394,14 +394,18 @@ def dtam_attention(q, k, v, bias, heads, runs=None, weights_out=None):
     q1[..., d_h] = v1[..., d_h] = 1.0
     k1 = np.zeros((group, d_h + 1, nk))
     total = z1[..., d_h:]
+    # each tile's views of the query and output buffers (and of the score
+    # scratch without a tape), shared by every head group
+    views = [(i, lo, hi, q1[:, lo:hi], z1[:, lo:hi],
+              None if keep else scratch[:group * (hi - lo) * nk].reshape(group, hi - lo, nk))
+             for i, lo, hi in tiles]
 
-    def tile(hs, lo, hi, shift):
-        wc = w[hs, lo:hi] if keep else scratch[:group * (hi - lo) * nk].reshape(group, hi - lo, nk)
-        np.matmul(q1[:, lo:hi], k1, out=wc)
+    def tile(wc, qc, zc, shift):
+        np.matmul(qc, k1, out=wc)
         if shift:
             wc -= wc.max(axis=-1, keepdims=True)
         np.exp(wc, out=wc)
-        np.matmul(wc, v1, out=z1[:, lo:hi])
+        np.matmul(wc, v1, out=zc)
 
     # the unshifted softmax loses nothing to the shifted one unless a row sum
     # or the value product leaves float range. A tile holding such a row (an
@@ -415,16 +419,17 @@ def dtam_attention(q, k, v, bias, heads, runs=None, weights_out=None):
             q1[..., :d_h], v1[..., :d_h], k1[:, :d_h] = qh[hs], vh[hs], kt[hs]
             with np.errstate(invalid="ignore"):
                 run = None
-                for i, lo, hi in tiles:
+                for i, lo, hi, qc, zc, wc in views:
                     if bias is not None and i != run:
                         k1[:, d_h], run = bias[i], i
-                    tile(hs, lo, hi, False)
+                    tile(w[hs, lo:hi] if keep else wc, qc, zc, False)
                 ok = (total >= 1e-200) & (total * vmax <= 1e200)
-            for i, lo, hi in tiles:
-                if not ok[:, lo:hi].all():
-                    if bias is not None:
-                        k1[:, d_h] = bias[i]
-                    tile(hs, lo, hi, True)
+            if not ok.all():
+                for i, lo, hi, qc, zc, wc in views:
+                    if not ok[:, lo:hi].all():
+                        if bias is not None:
+                            k1[:, d_h] = bias[i]
+                        tile(w[hs, lo:hi] if keep else wc, qc, zc, True)
             np.divide(z1[..., :d_h], total, out=z[hs])
             if keep:
                 w[hs] /= total
