@@ -464,8 +464,8 @@ def test_dtam_attention_falls_back_to_the_shifted_softmax(trigger):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("damage", ["nan_q_row", "nan_v", "inf_k_row", "ninf_bias"])
 def test_dtam_attention_with_non_finite_inputs_matches_the_longdouble_oracle(damage):
-    # the row sums now come from the value matmul and are range-checked once
-    # per head group: a non-finite input must still give the oracle's NaN and
+    # the row sums come from the value matmul and are range-checked once per
+    # head group: a non-finite input must still give the oracle's NaN and
     # infinite entries, and leave every other entry within rounding
     r = np.random.default_rng(17)
     n, nk, heads = 6, 7, 2
