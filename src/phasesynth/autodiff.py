@@ -400,12 +400,22 @@ def dtam_attention(q, k, v, bias, heads, runs=None, weights_out=None):
               None if keep else scratch[:group * (hi - lo) * nk].reshape(group, hi - lo, nk))
              for i, lo, hi in tiles]
 
-    def tile(wc, qc, zc, shift):
-        np.matmul(qc, k1, out=wc)
-        if shift:
-            wc -= wc.max(axis=-1, keepdims=True)
-        np.exp(wc, out=wc)
-        np.matmul(wc, v1, out=zc)
+    def sweep(hs, ok=None):
+        # the tiles of head group hs: score matmul, exp in place, value
+        # matmul. With ok, only the tiles holding a row that failed the range
+        # check, redone with the row max subtracted
+        run = None
+        for i, lo, hi, qc, zc, wc in views:
+            if ok is not None and ok[:, lo:hi].all():
+                continue
+            if bias is not None and i != run:
+                k1[:, d_h], run = bias[i], i
+            wc = w[hs, lo:hi] if keep else wc
+            np.matmul(qc, k1, out=wc)
+            if ok is not None:
+                wc -= wc.max(axis=-1, keepdims=True)
+            np.exp(wc, out=wc)
+            np.matmul(wc, v1, out=zc)
 
     # the unshifted softmax loses nothing to the shifted one unless a row sum
     # or the value product leaves float range. A tile holding such a row (an
@@ -418,18 +428,10 @@ def dtam_attention(q, k, v, bias, heads, runs=None, weights_out=None):
             hs = slice(h, h + group)
             q1[..., :d_h], v1[..., :d_h], k1[:, :d_h] = qh[hs], vh[hs], kt[hs]
             with np.errstate(invalid="ignore"):
-                run = None
-                for i, lo, hi, qc, zc, wc in views:
-                    if bias is not None and i != run:
-                        k1[:, d_h], run = bias[i], i
-                    tile(w[hs, lo:hi] if keep else wc, qc, zc, False)
+                sweep(hs)
                 ok = (total >= 1e-200) & (total * vmax <= 1e200)
             if not ok.all():
-                for i, lo, hi, qc, zc, wc in views:
-                    if not ok[:, lo:hi].all():
-                        if bias is not None:
-                            k1[:, d_h] = bias[i]
-                        tile(w[hs, lo:hi] if keep else wc, qc, zc, True)
+                sweep(hs, ok)
             np.divide(z1[..., :d_h], total, out=z[hs])
             if keep:
                 w[hs] /= total

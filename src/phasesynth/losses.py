@@ -119,9 +119,7 @@ def total_loss(l_syn, l_seg, l_cls, l_tcc, weights):
     """
     parts = [ad.as_tensor(p) for p in (l_syn, l_seg, l_cls, l_tcc)]
     for name, part in zip(("syn", "seg", "cls", "tcc"), parts):
-        if part.shape != ():
-            raise ContractError(f"{name} loss has shape {part.shape}, not a scalar")
-        if not np.isfinite(part.data):
+        if not np.isfinite(part.data).all():
             raise NumericalError(f"non-finite {name} loss")
     w_cls, w_tcc = float(weights.cls), float(weights.tcc)
     syn, seg, cls, tcc = (p.data for p in parts)

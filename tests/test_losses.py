@@ -142,13 +142,6 @@ def test_total_names_nonfinite_part():
         total_loss(*parts, LossWeights())
 
 
-def test_total_refuses_a_part_that_is_not_a_scalar():
-    parts = scalars(1, 2, 3, 4)
-    parts[1] = ad.Tensor([2.0, 2.0])
-    with pytest.raises(ContractError, match="seg"):
-        total_loss(*parts, LossWeights())
-
-
 def test_weights_must_be_nonnegative():
     with pytest.raises(ContractError):
         LossWeights(dice=-0.1).validate()
