@@ -19,9 +19,8 @@ import time
 
 import numpy as np
 
-from .config import integral
 from .errors import ConfigError, ContractError, DomainError, GenerationError, NumericalError
-from .metrics import evaluate
+from .metrics import evaluate, load_checkpoint
 from .model import run_autoregressive
 from .phantom import PHASE_NAMES, PhantomConfig, generate_dataset, load_case, load_manifest
 from .tensorio import save_pgm
@@ -76,16 +75,20 @@ def cmd_generate(args):
     return 0
 
 
+def _train_config(args):
+    """``--config`` (or the defaults) with the ``--seed``, ``--epochs`` and, for
+    ``train``, ``--ablation`` overrides, validated."""
+    cfg = TrainConfig.from_dict(_load_json(args.config)) if args.config else TrainConfig()
+    for name in ("seed", "epochs", "ablation"):
+        if getattr(args, name, None) is not None:
+            setattr(cfg, name, getattr(args, name))
+    cfg.validate()
+    return cfg
+
+
 def cmd_train(args):
     started = _now()
-    cfg = TrainConfig.from_dict(_load_json(args.config)) if args.config else TrainConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.epochs is not None:
-        cfg.epochs = args.epochs
-    if args.ablation is not None:
-        cfg.ablation = args.ablation
-    cfg.validate()
+    cfg = _train_config(args)
     _check_out_dir(args.out, args.force)
     result = train(cfg, args.data, args.out)
     _write_run_manifest(args.out, "train", args, cfg.seed, started,
@@ -128,15 +131,9 @@ def _dump_attention(record, out_dir, case_id, paths):
 
 def cmd_synthesize(args):
     started = _now()
-    from .metrics import load_checkpoint
     params, cfg, meta = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.data, cfg.image_size)
-    try:
-        seed = integral(meta["config"].get("seed"))
-    except ValueError:
-        raise ContractError(f"{args.checkpoint}: checkpoint config has no integer seed") from None
     _check_out_dir(args.out, args.force)
-    ablation = meta["config"].get("ablation", "full")
     made_out = not os.path.isdir(args.out)
     outputs, attention = [], []
     try:
@@ -146,7 +143,8 @@ def cmd_synthesize(args):
             case = load_case(args.data, entry, cfg.image_size)
             record = [] if args.dump_attention else None
             bundle = run_autoregressive(case.ncmri, case.tumor_mask, case.times,
-                                        params, cfg, ablation=ablation, record=record)
+                                        params, cfg, ablation=meta["config"]["ablation"],
+                                        record=record)
             os.makedirs(args.out, exist_ok=True)
             cid = entry["id"]
             for name, po in zip(PHASE_NAMES, bundle.phase_outputs):
@@ -173,18 +171,13 @@ def cmd_synthesize(args):
             with contextlib.suppress(FileNotFoundError):
                 os.remove(path)
         raise
-    _write_run_manifest(args.out, "synthesize", args, seed, started, outputs)
+    _write_run_manifest(args.out, "synthesize", args, meta["config"]["seed"], started, outputs)
     return 0
 
 
 def cmd_ablate(args):
     started = _now()
-    cfg = TrainConfig.from_dict(_load_json(args.config)) if args.config else TrainConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.epochs is not None:
-        cfg.epochs = args.epochs
-    cfg.validate()
+    cfg = _train_config(args)
     _check_out_dir(args.out, args.force)
     rows = run_ablation(cfg, args.data, args.out)
     json_path = os.path.join(args.out, "ablation.json")

@@ -9,6 +9,9 @@ no per-window copy of the image is made. HD95 interpolates the sorted
 distances exactly as ``np.percentile`` does by default. PSNR is capped
 at 100 dB so aggregates over identical images stay finite; a NaN error
 gives a NaN PSNR, never the cap.
+
+Validation takes the means of ``score_case``; ``evaluate`` builds each report
+entry on it and adds SSIM, IoU, the surface distances and the signals.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ContractError
-from .model import ABLATIONS, ModelConfig, param_shapes, run_autoregressive
+from .model import ModelConfig, TrainConfig, param_shapes, run_autoregressive
 from .phantom import PHASE_NAMES, load_case, load_manifest
 from .tensorio import load_archive
 
@@ -200,23 +203,23 @@ def classification_metrics(predictions, labels):
 
 
 def load_checkpoint(path):
-    """Return (params, ModelConfig, meta); the tensors must be exactly the
-    names and shapes ``param_shapes`` gives for the stored model config,
-    and hold only finite values."""
+    """Return (params, ModelConfig, meta). The stored config is read once, as a
+    complete ``TrainConfig`` that passes ``validate``, and ``meta["config"]`` is
+    its echo, so callers read ``ablation`` and ``seed`` from it unchecked. The
+    tensors must be exactly the names and shapes ``param_shapes`` gives for the
+    model config, and hold only finite values."""
     arrays, meta = load_archive(path)
     try:
-        cfg = ModelConfig.from_dict(meta["config"]["model"], complete=True)
-        expected = param_shapes(cfg)
+        train_cfg = TrainConfig.from_dict(meta["config"], complete=True)
+        train_cfg.validate()
     except (KeyError, TypeError, ValueError) as exc:
         # an archive from an earlier model version: name what it holds beyond today's
         stale = sorted(arrays.keys() - param_shapes(ModelConfig()).keys())
-        raise ContractError(f"{path}: missing or malformed model config ({exc!r})"
+        raise ContractError(f"{path}: missing or malformed train or model config ({exc!r})"
                             + (f"; tensors the default model lacks: {stale}" if stale else "")
                             ) from None
-    ablation = meta["config"].get("ablation", "full")
-    if not isinstance(ablation, str) or ablation not in ABLATIONS:
-        raise ContractError(f"{path}: checkpoint ablation {ablation!r} is not one of "
-                            f"{sorted(ABLATIONS)}")
+    meta["config"] = train_cfg.echo()
+    expected = param_shapes(train_cfg.model)
     missing = sorted(expected.keys() - arrays.keys())
     extra = sorted(arrays.keys() - expected.keys())
     if missing or extra:
@@ -229,7 +232,23 @@ def load_checkpoint(path):
         if not np.isfinite(arrays[name]).all():
             raise ContractError(f"{path}: parameter {name!r} holds a NaN or infinite value")
     params = {name: ad.Tensor(arr) for name, arr in arrays.items()}
-    return params, cfg, meta
+    return params, train_cfg.model, meta
+
+
+def score_case(bundle, case):
+    """The figures of one forward pass that validation and ``evaluate`` share:
+    per-phase MSE and PSNR, the Dice of the majority-vote mask, the predicted
+    class and the label, keyed as in a report entry."""
+    per_phase = {}
+    for name, po, gt in zip(PHASE_NAMES, bundle.phase_outputs, case.phases):
+        err = mse(po.image.data, gt)
+        per_phase[name] = {"mse": err, "psnr": _psnr_of_mse(err)}
+    return {
+        "label": case.class_label,
+        "predicted": int(np.argmax(bundle.class_probs.data)),
+        "per_phase": per_phase,
+        "seg": {"dice": dice(bundle.aggregated_mask, case.tumor_mask)},
+    }
 
 
 def _finite_mean(values):
@@ -241,51 +260,35 @@ def evaluate(checkpoint_path, data_dir, split="test", out_path=None):
     """Run the model over one split and assemble a MetricsReport."""
     params, cfg, meta = load_checkpoint(checkpoint_path)
     manifest = load_manifest(data_dir, cfg.image_size)
-    ablation = meta["config"].get("ablation", "full")
     entries = [e for e in manifest["cases"] if e["split"] == split]
     if not entries:
         raise ConfigError(f"split {split!r} has no cases")
 
     cases_out = []
-    preds, labels = [], []
     for entry in entries:
         case = load_case(data_dir, entry, cfg.image_size)
         bundle = run_autoregressive(case.ncmri, case.tumor_mask, case.times,
-                                    params, cfg, ablation=ablation)
-        per_phase = {}
+                                    params, cfg, ablation=meta["config"]["ablation"])
+        scores = score_case(bundle, case)
         for name, po, gt in zip(PHASE_NAMES, bundle.phase_outputs, case.phases):
-            err = mse(po.image.data, gt)
-            per_phase[name] = {
-                "mse": err,
-                "psnr": _psnr_of_mse(err),
-                "ssim": ssim(po.image.data, gt),
-            }
-        gt_mask = case.tumor_mask.astype(np.uint8)
-        h, a = _hd95_asd(_surface_distances(bundle.aggregated_mask, gt_mask))
+            scores["per_phase"][name]["ssim"] = ssim(po.image.data, gt)
+        h, a = _hd95_asd(_surface_distances(bundle.aggregated_mask, case.tumor_mask))
         empty = not np.isfinite(h)
-        pred = int(np.argmax(bundle.class_probs.data))
-        preds.append(pred)
-        labels.append(case.class_label)
+        scores["seg"].update(iou=iou(bundle.aggregated_mask, case.tumor_mask),
+                             hd95=None if empty else h, asd=None if empty else a,
+                             empty_mask=empty)
         cases_out.append({
             "id": entry["id"],
             "split": split,
-            "label": case.class_label,
-            "predicted": pred,
+            **scores,
             "class_probs": bundle.class_probs.data.tolist(),
-            "per_phase": per_phase,
-            "seg": {
-                "dice": dice(bundle.aggregated_mask, gt_mask),
-                "iou": iou(bundle.aggregated_mask, gt_mask),
-                "hd95": None if empty else h,
-                "asd": None if empty else a,
-                "empty_mask": empty,
-            },
             "signals": bundle.signals,
             "signal_labels": bundle.signal_labels,
             "per_phase_cls": [p.item() for p in bundle.per_phase_cls],
         })
 
-    aggregates = {"classification": classification_metrics(preds, labels)}
+    aggregates = {"classification": classification_metrics(
+        [c["predicted"] for c in cases_out], [c["label"] for c in cases_out])}
     for name in PHASE_NAMES:
         aggregates[name] = {
             k: _finite_mean(c["per_phase"][name][k] for c in cases_out)

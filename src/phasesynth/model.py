@@ -11,7 +11,7 @@ updated conditional block as context for later phases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .attention import DtamConfig, mmhsa_block
 from .config import Config
 from .encoder import build_conditional_token, encode_features
 from .errors import ConfigError, ContractError
+from .losses import LossWeights
 from .phantom import PHASE_NAMES
 
 # ablation -> (gaussian decay, phase token, time token, TCC participates)
@@ -54,6 +55,32 @@ class ModelConfig(Config):
         if self.embed_dim % 2 != 0:
             raise ConfigError("embed_dim must be even")
         DtamConfig(self.sigma, self.head_count).validate(self.embed_dim)
+
+
+# here, not in training, so that metrics can read a checkpoint's whole config
+@dataclass
+class TrainConfig(Config):
+    epochs: int = 100
+    batch_size: int = 8
+    base_lr: float = 1e-4
+    warmup_epochs: int = 20
+    seed: int = 42
+    ablation: str = "full"
+    weights: LossWeights = field(default_factory=LossWeights)
+    model: ModelConfig = field(default_factory=ModelConfig)
+    noun = "train config"
+
+    def validate(self):
+        if self.base_lr <= 0:
+            raise ConfigError("base_lr must be positive")
+        if not 0 <= self.warmup_epochs < self.epochs:
+            raise ConfigError("warmup_epochs must be smaller than epochs")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be at least 1")
+        if self.ablation not in ABLATIONS:
+            raise ConfigError(f"unknown ablation {self.ablation!r}")
+        self.weights.validate()
+        self.model.validate()
 
 
 @dataclass

@@ -331,7 +331,8 @@ def load_manifest(data_dir, image_size=None):
 
 def load_case(data_dir, entry, image_size=None):
     """One case archive; its meta and tensors are checked against the generator's
-    format, and its images against ``image_size`` when that is given."""
+    format, its images against ``image_size`` when that is given, and every
+    pixel: finite and within [0, 1], the mask's 0 or 1."""
     path = os.path.join(data_dir, entry["path"])
     named, meta = load_archive(path)
     times = meta.get("times") if isinstance(meta, dict) else None
@@ -348,4 +349,7 @@ def load_case(data_dir, entry, image_size=None):
            path, "images differ in shape or are not 2-D")
     _check(image_size is None or images[0].shape == (image_size,) * 2, path,
            f"images are {images[0].shape}, not {(image_size,) * 2}, the model's image size")
+    for name, a in zip(CASE_TENSORS, images):  # a NaN fails every comparison
+        ok = np.all((a == 0) | (a == 1)) if name == "mask" else a.min() >= 0 and a.max() <= 1
+        _check(ok, path, f"tensor {name!r} must hold finite values in [0, 1] (a mask 0 or 1)")
     return CaseRecord(images[0], images[1], images[2:], tuple(times), meta["label"], meta["seed"])

@@ -1,53 +1,24 @@
-"""Training loop, checkpointing, and the ablation sweep."""
+"""Training loop, checkpointing, and the ablation sweep. ``TrainConfig`` lives
+in ``model``; validation scores with ``metrics.score_case``, as ``evaluate`` does."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .config import Config
 from .errors import ConfigError, NumericalError
-from .losses import (AdamState, LossWeights, adam_step, cls_loss, lr_at,
-                     seg_loss, syn_loss, total_loss)
-from .metrics import dice as dice_metric
-from .metrics import evaluate
-from .metrics import psnr as psnr_metric
-from .model import ABLATIONS, ModelConfig, init_params, run_autoregressive
-from .phantom import load_case, load_manifest
+from .losses import AdamState, adam_step, cls_loss, lr_at, seg_loss, syn_loss, total_loss
+from .metrics import evaluate, score_case
+from .model import ABLATIONS, TrainConfig, init_params, run_autoregressive
+from .phantom import PHASE_NAMES, load_case, load_manifest
 from .tcc import tcc_loss
 from .tensorio import save_archive
 
 ABLATION_ORDER = ("baseline", "no_dtam", "no_cte", "no_t_encoding", "full")
-
-
-@dataclass
-class TrainConfig(Config):
-    epochs: int = 100
-    batch_size: int = 8
-    base_lr: float = 1e-4
-    warmup_epochs: int = 20
-    seed: int = 42
-    ablation: str = "full"
-    weights: LossWeights = field(default_factory=LossWeights)
-    model: ModelConfig = field(default_factory=ModelConfig)
-    noun = "train config"
-
-    def validate(self):
-        if self.base_lr <= 0:
-            raise ConfigError("base_lr must be positive")
-        if not 0 <= self.warmup_epochs < self.epochs:
-            raise ConfigError("warmup_epochs must be smaller than epochs")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be at least 1")
-        if self.ablation not in ABLATIONS:
-            raise ConfigError(f"unknown ablation {self.ablation!r}")
-        self.weights.validate()
-        self.model.validate()
 
 
 def manifest_hash(data_dir):
@@ -70,23 +41,22 @@ def case_losses(case, params, cfg, ablation, weights):
 
 
 def _validation_pass(cases, params, cfg, ablation, weights):
-    """Validation metrics; ``val_loss`` leaves out ``l_tcc``, which trains
-    only the auxiliary head and feeds no image, mask or class output."""
+    """Validation loss and the means of ``score_case``'s figures; ``val_loss``
+    leaves out ``l_tcc``, which trains only the auxiliary head and feeds no
+    image, mask or class output."""
     params = {name: ad.Tensor(t.data) for name, t in params.items()}  # no tape
-    psnrs, dices, correct, losses = [], [], 0, []
+    losses, scores = [], []
     for case in cases:
         bundle, parts = case_losses(case, params, cfg, ablation, weights)
         losses.append(parts["syn"].item() + parts["seg"].item()
                       + weights.cls * parts["cls"].item())
-        psnrs.append(np.mean([psnr_metric(po.image.data, gt)
-                              for po, gt in zip(bundle.phase_outputs, case.phases)]))
-        dices.append(dice_metric(bundle.aggregated_mask, case.tumor_mask.astype(np.uint8)))
-        correct += int(np.argmax(bundle.class_probs.data) == case.class_label)
+        scores.append(score_case(bundle, case))
     return {
         "val_loss": float(np.mean(losses)),
-        "val_psnr": float(np.mean(psnrs)),
-        "val_dice": float(np.mean(dices)),
-        "val_acc": correct / len(cases),
+        "val_psnr": float(np.mean([np.mean([s["per_phase"][name]["psnr"] for name in PHASE_NAMES])
+                                   for s in scores])),
+        "val_dice": float(np.mean([s["seg"]["dice"] for s in scores])),
+        "val_acc": sum(s["predicted"] == s["label"] for s in scores) / len(cases),
     }
 
 

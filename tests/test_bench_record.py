@@ -67,3 +67,13 @@ def test_a_traced_run_is_refused(tmp_path, capsys):
     Path(path).write_text(json.dumps(record))
     assert bench_record.main(["--label", "traced", "--out-dir", str(tmp_path), path]) == 2
     assert "untraced" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["[]", "[1, 2]", "3", "null", '"text"'])
+def test_a_result_that_is_not_a_json_object_is_refused(tmp_path, content, capsys):
+    # a JSON list exited 1 with an AttributeError traceback at read_result
+    path = tmp_path / "synth-128-seed1-trace0.json"
+    path.write_text(content)
+    assert bench_record.main(["--label", "list", "--out-dir", str(tmp_path), str(path)]) == 2
+    assert "JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_list.json").exists()

@@ -374,6 +374,24 @@ def test_checkpoint_ablation_must_be_a_known_name(workspace, tmp_path, command, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "synthesize"])
+@pytest.mark.parametrize("damage", [lambda c: c.pop("weights"), lambda c: c.pop("base_lr"),
+                                    lambda c: c.update(base_lr=0.0)],
+                         ids=["no_weights", "no_base_lr", "base_lr_0"])
+def test_checkpoint_config_must_be_a_whole_valid_train_config(workspace, tmp_path, command,
+                                                              damage, capsys):
+    # evaluate read only the model echo, ablation and seed, and exited 0 on these
+    arrays, meta = load_archive(workspace["checkpoint"])
+    damage(meta["config"])
+    broken = tmp_path / "broken.ntar"
+    save_archive(broken, arrays, meta=meta)
+    out = tmp_path / "out"
+    assert main([command, "--checkpoint", str(broken),
+                 "--data", str(workspace["data"]), "--out", str(out)]) == DATA_ERROR
+    assert "train or model config" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _drop_q_w(arrays):
     del arrays["att.q_w"]
 
@@ -474,6 +492,12 @@ def _val_archive_edit(edit):
     return damage
 
 
+def _set_lesion(tensor, value):
+    def edit(named, meta):
+        named[tensor][named["mask"] > 0] = value
+    return edit
+
+
 def _val_meta_edit(edit):
     return _val_archive_edit(lambda named, meta: edit(meta))
 
@@ -489,8 +513,12 @@ def _val_meta_edit(edit):
     _val_path_escapes,
     _val_archive_edit(lambda named, meta: named.pop("phase_pv")),
     _val_archive_edit(_shrink_to_32px),
+    _val_archive_edit(_set_lesion("ncmri", math.nan)),
+    _val_archive_edit(_set_lesion("phase_art", -5.0)),
+    _val_archive_edit(_set_lesion("mask", 0.5)),
 ], ids=["no_cases", "no_image_size", "no_times", "two_times", "time_1.5", "label_x",
-        "schema_1", "path_dotdot", "no_phase_pv", "case_32px"])
+        "schema_1", "path_dotdot", "no_phase_pv", "case_32px", "nan_pixel", "pixel_-5",
+        "mask_0.5"])
 def test_evaluate_malformed_dataset_is_data_error(workspace, tmp_path, damage, capsys):
     data = tmp_path / "data"
     shutil.copytree(workspace["data"], data)
@@ -500,6 +528,29 @@ def test_evaluate_malformed_dataset_is_data_error(workspace, tmp_path, damage, c
                  "--data", str(data), "--split", "val", "--out", str(report)]) == DATA_ERROR
     assert "error:" in capsys.readouterr().err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("command, split", [("train", "train"), ("synthesize", "test")])
+@pytest.mark.parametrize("tensor, value", [("ncmri", math.nan), ("phase_delay", math.inf),
+                                           ("mask", 0.5)])
+def test_case_pixels_no_command_can_use_are_data_error(workspace, tmp_path, command, split,
+                                                       tensor, value, capsys):
+    # a NaN train pixel made train exit 4, "non-finite syn loss": a data error, not numerics
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    path = _first_case_of(data, split)
+    named, meta = load_archive(path)
+    _set_lesion(tensor, value)(named, meta)
+    save_archive(path, named, meta=meta)
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--config", str(workspace["root"] / "train.json")]
+    else:
+        argv = ["synthesize", "--checkpoint", str(workspace["checkpoint"])]
+    assert main(argv + ["--data", str(data), "--out", str(out)]) == DATA_ERROR
+    err = capsys.readouterr().err
+    assert path.name in err and repr(tensor) in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", [None, "3", 2.5])

@@ -133,6 +133,18 @@ def test_val_loss_leaves_out_tcc(tiny_dataset):
                                  + 2.0 * parts["cls"].item())
 
 
+def test_validation_figures_are_the_evaluate_figures_of_the_val_split(tiny_run):
+    from phasesynth.metrics import evaluate
+
+    # both paths score through metrics.score_case; validation keeps no scorer of its own
+    best = tiny_run["best_val"]
+    agg = evaluate(tiny_run["checkpoint"], tiny_run["data"], split="val")["aggregates"]
+    assert best["val_dice"] == agg["seg"]["dice"]
+    assert best["val_acc"] == agg["classification"]["accuracy"]
+    assert best["val_psnr"] == pytest.approx(
+        np.mean([agg[p]["psnr"] for p in ("art", "pv", "delay")]), rel=1e-12, abs=0)
+
+
 def test_image_size_mismatch_rejected(tiny_dataset, tmp_path):
     cfg = TrainConfig(epochs=1, warmup_epochs=0)
     cfg.model.image_size = 32

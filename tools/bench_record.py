@@ -12,9 +12,9 @@ their recorded environment: ``nproc`` (CPUs usable by the run), the
 CPU model, ``git_sha`` and ``src_sha256``. The file goes to
 ``DIR/BENCH_<label>.json`` (default: the root of this checkout).
 
-Exit code 2, with nothing written, when a file is not a finished
-untraced full-size result, or when the runs of one workload measured
-different sources or machines.
+Exit code 2, with nothing written, when a file is not a JSON object
+holding a finished untraced full-size result, or when the runs of one
+workload measured different sources or machines.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ IDENTITY = {"nproc": "cpus_usable", "cpu": "cpu", "git_sha": "git_sha",
 
 def read_result(path):
     record = json.loads(Path(path).read_text())
+    if not isinstance(record, dict):
+        raise ValueError(f"{path}: not a JSON object")
     if record.get("smoke") or record.get("trace") or record.get("traced_call_walls_s"):
         raise ValueError(f"{path}: not an untraced full-size run")
     if "result" not in record:
