@@ -24,9 +24,9 @@ Fused ops keep the training tape short: ``linear`` (``x @ w (+ b)``),
 ``rearrange`` (reshape, transpose, reshape: the model's depatchify) and
 ``dtam_attention`` (multi-head attention, its backward batched over
 heads) each do in one node what a composition of the elementwise and
-shaping ops did. ``linear`` and ``rearrange``, like ``losses.syn_loss``
-and ``losses.seg_loss`` and ``losses.total_loss`` for the losses, do the
-same float operations in the same order in the forward.
+shaping ops did. ``linear``, ``rearrange`` and the one-node losses
+(``syn_loss``, ``seg_loss``, ``cls_loss``, ``total_loss``, ``tcc_loss``)
+do the same float operations in the same order in the forward.
 ``dtam_attention`` does not: it adds the decay bias inside the score
 matmul, exponentiates the scores without subtracting the row maximum
 (unless that could leave float range), and takes the softmax row sums
@@ -267,23 +267,12 @@ def reduce_mean(a, axis=None):
     return node(a.data.mean(axis=axis), (a,), lambda g: _spread(g / n, axis, a.shape))
 
 
-def softmax_last_axis(a, bias=None):
-    """softmax(a + bias) over the last axis; ``bias`` is a constant array.
-
-    The bias is added into the one buffer that is then shifted,
-    exponentiated and normalized in place, so it costs no extra node.
-    """
+def softmax_last_axis(a):
+    """softmax(a) over the last axis, shifted, exponentiated and normalized in one buffer."""
     a = as_tensor(a)
     if a.data.size == 0 or a.shape[-1] < 1:
         raise DimensionError("softmax over an empty last axis")
-    if bias is None:
-        y = a.data - a.data.max(axis=-1, keepdims=True)
-    else:
-        bias = np.asarray(bias, dtype=np.float64)
-        if _broadcast_shape(a.shape, bias.shape) != a.shape:
-            raise DimensionError(f"softmax bias {bias.shape} does not fit logits {a.shape}")
-        y = a.data + bias
-        y -= y.max(axis=-1, keepdims=True)
+    y = a.data - a.data.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
 

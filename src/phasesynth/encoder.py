@@ -94,7 +94,7 @@ def time_encoding(t, omega=math.pi):
 
 def phase_embedding(phase, params):
     idx = PHASE_INDEX[phase] if isinstance(phase, str) else int(phase)
-    return ad.embedding_lookup(params["enc.phase_table"], idx)
+    return ad.slice_axis(params["enc.phase_table"], 0, idx, idx + 1)
 
 
 def build_conditional_token(t_ot, phase, t, cfg, params, use_phase=True, use_time=True):
@@ -107,9 +107,9 @@ def build_conditional_token(t_ot, phase, t, cfg, params, use_phase=True, use_tim
     if not (use_phase or use_time):
         return ConditionalToken(tokens=t_ot, time=t)
     t_phase = phase_embedding(phase, params)
-    parts = [t_phase, ad.Tensor(t_enc if use_time else np.zeros(2))]
-    fused = ad.linear(ad.concat(parts, axis=0), params["enc.fuse_w"], params["enc.fuse_b"])
-    if fused.shape[0] != t_ot.shape[1]:
+    parts = [t_phase, ad.Tensor((t_enc if use_time else np.zeros(2)).reshape(1, 2))]
+    fused = ad.linear(ad.concat(parts, axis=1), params["enc.fuse_w"], params["enc.fuse_b"])
+    if fused.shape[1] != t_ot.shape[1]:
         raise ContractError("fused condition token width differs from token grid width")
-    tokens = ad.concat([t_ot, ad.reshape(fused, (1, -1))], axis=0)
+    tokens = ad.concat([t_ot, fused], axis=0)
     return ConditionalToken(tokens=tokens, time=t)

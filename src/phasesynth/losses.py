@@ -103,11 +103,21 @@ def seg_loss(seg_logits_per_phase, gt_mask, weights):
 
 
 def cls_loss(class_probs, label):
-    """Negative log probability of the true class."""
+    """Negative log probability of the true class, clamped below at PROB_CLAMP
+    (no gradient at or below it), as one node doing the float operations of
+    the slice, clip, log and scale nodes it replaces, in their order."""
     if label not in (0, 1):
         raise ContractError(f"invalid class label {label}")
-    p_true = ad.slice_axis(class_probs, 0, label, label + 1)
-    return ad.reshape(ad.scale(ad.log(ad.clip_min(p_true, PROB_CLAMP)), -1.0), ())
+    probs = ad.as_tensor(class_probs)
+    keep = probs.data[label] > PROB_CLAMP
+    p = probs.data[label] if keep else PROB_CLAMP
+
+    def adjoint(g):
+        full = np.zeros_like(probs.data)
+        full[label] = (g * -1.0) / p * keep
+        return full
+
+    return ad.node(np.log(p) * -1.0, (probs,), adjoint)
 
 
 def total_loss(l_syn, l_seg, l_cls, l_tcc, weights):

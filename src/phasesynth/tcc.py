@@ -31,21 +31,21 @@ def predict_signal(image, ncmri, mask):
 
 
 def signal_label(signal, tau):
-    """1 iff the signal strictly exceeds tau. No gradient flows."""
-    value = signal.item() if isinstance(signal, ad.Tensor) else float(signal)
-    return 1 if value > tau else 0
+    """1 iff the float signal strictly exceeds tau. No gradient flows."""
+    return 1 if signal > tau else 0
 
 
 def tcc_loss(per_phase_cls, signal_labels):
-    """Sum of squared gaps between per-phase probabilities and signal labels.
+    """Sum over phases of ``(p - label) ** 2``, as one node.
 
     Labels are plain ints (detached targets); gradients reach only the
-    classification probabilities.
+    classification probabilities. The forward and the adjoints,
+    ``g * d + g * d`` with ``d = p - label``, do the float operations of
+    the sub, mul and add nodes they replace, in their order.
     """
     if len(per_phase_cls) != len(signal_labels):
         raise ContractError("per-phase predictions and labels differ in length")
-    total = ad.Tensor(0.0)
-    for p, lab in zip(per_phase_cls, signal_labels):
-        d = ad.sub(p, ad.Tensor(float(lab)))
-        total = ad.add(total, ad.mul(d, d))
-    return total
+    preds = [ad.as_tensor(p) for p in per_phase_cls]
+    gaps = [p.data - float(lab) for p, lab in zip(preds, signal_labels)]
+    total = sum((d * d for d in gaps), np.float64(0.0))
+    return ad.node(total, preds, *(lambda g, d=d: g * d + g * d for d in gaps))

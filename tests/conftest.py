@@ -69,8 +69,10 @@ def dtam_weights(queries, keys, times_q, times_k, sigma, use_decay=True):
     """
     if keys.shape[0] == 0:
         raise ContractError("empty key set")
-    bias = decay_log_bias(times_q, times_k, sigma) if use_decay else None
-    return ad.softmax_last_axis(ad.matmul(queries, ad.transpose(keys)), bias=bias)
+    scores = ad.matmul(queries, ad.transpose(keys))
+    if use_decay:
+        scores = ad.add(scores, ad.Tensor(decay_log_bias(times_q, times_k, sigma)))
+    return ad.softmax_last_axis(scores)
 
 
 @pytest.fixture(scope="session")

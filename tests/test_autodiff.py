@@ -258,25 +258,6 @@ def test_adjoint_shared_by_two_parents_is_never_updated_in_place(x_first, other_
     np.testing.assert_array_equal(x.grad, probe + extra)
 
 
-def test_softmax_bias_equals_adding_the_bias_first():
-    logits = rng.uniform(-3, 3, (5, 7))
-    bias = np.log(rng.uniform(0.05, 1.0, (5, 7)))
-    probe = ad.Tensor(rng.uniform(-1, 1, (5, 7)))
-    fused_in = ad.Tensor(logits, requires_grad=True)
-    fused = ad.softmax_last_axis(fused_in, bias=bias)
-    added_in = ad.Tensor(logits, requires_grad=True)
-    added = ad.softmax_last_axis(ad.add(added_in, ad.Tensor(bias)))
-    np.testing.assert_array_equal(fused.data, added.data)
-    ad.backward(ad.reduce_sum(ad.mul(fused, probe)))
-    ad.backward(ad.reduce_sum(ad.mul(added, probe)))
-    np.testing.assert_array_equal(fused_in.grad, added_in.grad)
-
-
-def test_softmax_bias_must_fit_the_logits():
-    with pytest.raises(DimensionError):
-        ad.softmax_last_axis(ad.Tensor(np.zeros((2, 3))), bias=np.zeros((4, 2, 3)))
-
-
 def per_head_attention(q, k, v, bias, heads, runs=None):
     """The loop dtam_attention replaces: for each run of query rows (default:
     one run of all rows) and each head, slices, matmuls, softmax, concat.
@@ -289,9 +270,9 @@ def per_head_attention(q, k, v, bias, heads, runs=None):
             cols = h * d, (h + 1) * d
             scores = ad.matmul(ad.slice_axis(ad.slice_axis(q, 0, lo, lo + rows), 1, *cols),
                                ad.transpose(ad.slice_axis(k, 1, *cols)))
-            run_bias = None if bias is None else bias[lo:lo + rows]
-            outs.append(ad.matmul(ad.softmax_last_axis(scores, bias=run_bias),
-                                  ad.slice_axis(v, 1, *cols)))
+            if bias is not None:
+                scores = ad.add(scores, ad.Tensor(bias[lo:lo + rows]))
+            outs.append(ad.matmul(ad.softmax_last_axis(scores), ad.slice_axis(v, 1, *cols)))
         blocks.append(ad.concat(outs, axis=1))
         lo += rows
     return ad.concat(blocks, axis=0)
@@ -750,6 +731,58 @@ def test_total_loss_is_one_node_equal_to_the_composition(cls_w, tcc_w):
         np.testing.assert_array_equal(a, b)
     leaves = [ad.Tensor(arrays[name], requires_grad=True) for name in names]
     assert total_loss(*leaves, weights)._parents == tuple(leaves)
+
+
+def cls_loss_composition(probs, label, clamp=1e-7):
+    """The slice, clip, log, scale and reshape nodes of ``cls_loss`` before it was fused."""
+    p_true = ad.slice_axis(probs, 0, label, label + 1)
+    return ad.reshape(ad.scale(ad.log(ad.clip_min(p_true, clamp)), -1.0), ())
+
+
+@pytest.mark.parametrize("label", [0, 1])
+@pytest.mark.parametrize("p_true", [0.73, 0.5, 1e-7, 1e-9, 0.0])
+def test_cls_loss_is_one_node_equal_to_the_composition(label, p_true):
+    from phasesynth.losses import PROB_CLAMP, cls_loss
+    assert PROB_CLAMP == 1e-7  # the cases at and below the clamp
+    probs = np.zeros(2)
+    probs[label], probs[1 - label] = p_true, 1.0 - p_true
+    fused, composed = run_both(lambda t: cls_loss(t["p"], label),
+                               lambda t: cls_loss_composition(t["p"], label), {"p": probs})
+    for a, b in zip(fused, composed):
+        np.testing.assert_array_equal(a, b)
+    assert fused[0].shape == ()
+    if p_true <= PROB_CLAMP:
+        assert not fused[1].any()  # no gradient at or below the clamp
+    leaf = ad.Tensor(probs, requires_grad=True)
+    assert cls_loss(leaf, label)._parents == (leaf,)
+
+
+def tcc_loss_composition(preds, labels):
+    """The sub, mul and add nodes of ``tcc_loss`` before it was fused."""
+    total = ad.Tensor(0.0)
+    for p, lab in zip(preds, labels):
+        d = ad.sub(p, ad.Tensor(float(lab)))
+        total = ad.add(total, ad.mul(d, d))
+    return total
+
+
+@pytest.mark.parametrize("names, labels", [
+    (("a", "b", "c"), (1, 0, 1)),
+    (("a", "b", "c"), (0, 0, 0)),
+    (("a", "b", "c"), (1, 1, 1)),
+    (("a", "a", "b"), (1, 0, 0)),  # one Tensor passed twice
+])
+def test_tcc_loss_is_one_node_equal_to_the_composition(names, labels):
+    from phasesynth.tcc import tcc_loss
+    arrays = {name: rng.uniform(0, 1, ()) for name in set(names)}
+    fused, composed = run_both(lambda t: tcc_loss([t[n] for n in names], labels),
+                               lambda t: tcc_loss_composition([t[n] for n in names], labels),
+                               arrays)
+    for a, b in zip(fused, composed):
+        np.testing.assert_array_equal(a, b)
+    leaves = {name: ad.Tensor(a, requires_grad=True) for name, a in arrays.items()}
+    preds = [leaves[name] for name in names]
+    assert tcc_loss(preds, labels)._parents == tuple(preds)
 
 
 @pytest.mark.parametrize("live", ["trailing_zero_rows", "all_zero", "middle_zero_rows"])

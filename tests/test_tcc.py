@@ -71,10 +71,6 @@ def test_label_examples():
     assert signal_label(0.0, 0.3) == 0
 
 
-def test_label_accepts_tensor():
-    assert signal_label(ad.Tensor(0.9), 0.5) == 1
-
-
 def test_label_monotone_in_signal():
     taus = [0.2, 0.5, 0.8]
     for tau in taus:

@@ -180,7 +180,9 @@ def count_tape_nodes(loss):
     return count
 
 
-def test_default_model_case_tape_is_short_and_keeps_its_parts():
+@pytest.mark.parametrize("ablation, bound", [
+    ("full", 93), ("no_dtam", 93), ("no_cte", 81), ("no_t_encoding", 93), ("baseline", 71)])
+def test_default_model_case_tape_is_short_and_keeps_its_parts(ablation, bound):
     from phasesynth import autodiff as ad
     from phasesynth.model import ModelConfig, init_params
     from phasesynth.phantom import LesionSpec, generate_case
@@ -190,11 +192,11 @@ def test_default_model_case_tape_is_short_and_keeps_its_parts():
     case = generate_case(spec, (0.1, 0.25, 1.0), seed=3)
     cfg = ModelConfig()
     params = init_params(cfg, np.random.default_rng(0))
-    _, parts = case_losses(case, params, cfg, "full", LossWeights())
+    _, parts = case_losses(case, params, cfg, ablation, LossWeights())
     # the benchmark's finite-difference probe reads these parts
     for name in ("syn", "seg", "cls", "total"):
         assert isinstance(parts[name], ad.Tensor) and parts[name].shape == ()
-    assert count_tape_nodes(parts["total"]) <= 108
+    assert count_tape_nodes(parts["total"]) <= bound
 
 
 def test_evaluate_report_numbers_are_python_scalars(tiny_run):
