@@ -22,9 +22,13 @@ sums come from the value matmul, through a column of ones beside the
 values. The range check of those sums (a tile whose sums leave float
 range is redone with the shift) and the normalisation run once per head
 group, after the value product. It keeps the (heads, n, n) weights only
-when training needs them for ``backward`` or the caller records them
-(``record``, as ``synthesize --dump-attention`` does); a forward pass
+when training needs them for ``backward`` or the caller asks for them
+(``weights_out``, as ``synthesize --dump-attention`` does); a forward pass
 without either holds one tile of scores at a time.
+
+``DtamConfig`` holds the two fields the block reads and checks them
+against the token width; ``ModelConfig.validate`` uses it, and a caller
+may pass one to ``mmhsa_block`` in place of the model config.
 """
 
 from __future__ import annotations
@@ -69,13 +73,13 @@ def decay_log_bias(times_q, times_k, sigma):
     return np.log(gaussian_decay(tq[:, None], tk[None, :], sigma))
 
 
-def mmhsa_block(tokens, token_times, cfg, params, use_decay=True, record=None):
+def mmhsa_block(tokens, token_times, cfg, params, use_decay=True, weights_out=None):
     """Masked multi-head self-attention with position encoding and residual.
 
     tokens: (n, D) assembled input; token_times: per-token time stamps;
     cfg: any validated config with ``sigma`` and ``head_count``. Returns
     the updated (n, D) sequence (attention output + residual). With
-    ``record`` a dict, ``record["weights"]`` receives each head's weights.
+    ``weights_out`` a list, it receives each head's (n, n) weights.
     """
     n = tokens.shape[0]
 
@@ -97,7 +101,6 @@ def mmhsa_block(tokens, token_times, cfg, params, use_decay=True, record=None):
     runs = [b - a for a, b in zip(starts, starts[1:] + [n])]
     stamps = times[starts]
     bias = np.repeat(decay_log_bias(stamps, stamps, cfg.sigma), runs, axis=1) if use_decay else None
-    weights = record.setdefault("weights", []) if record is not None else None
-    z = ad.dtam_attention(q, k, v, bias, cfg.head_count, runs, weights_out=weights)
+    z = ad.dtam_attention(q, k, v, bias, cfg.head_count, runs, weights_out=weights_out)
     out = ad.linear(z, params["att.out_w"], params["att.out_b"])
     return ad.add(out, tokens)

@@ -301,15 +301,15 @@ def _merge_heads(x):
     return x.transpose(1, 0, 2).reshape(rows, heads * head_dim)
 
 
-def dtam_attention(q, k, v, bias, heads, runs=None, weights_out=None):
+def dtam_attention(q, k, v, bias, heads, runs, weights_out=None):
     """Multi-head ``softmax(q_h k_h^T + bias) v_h``, heads concatenated, as one node.
 
     q: (n, D), k and v: (nk, D); head h owns columns [h d_h, (h+1) d_h)
     with d_h = D / heads. ``runs`` splits the n query rows into runs of
-    the given lengths (default: one row each); every row of run i gets
-    the constant key bias ``bias[i]``, so ``bias`` is a (len(runs), nk)
-    array shared by every head, or None. Returns the (n, D) concatenation
-    of the heads.
+    the given lengths (in the model, one run per phase block; ``[1] * n``
+    gives each row its own); every row of run i gets the constant key
+    bias ``bias[i]``, so ``bias`` is a (len(runs), nk) array shared by
+    every head, or None. Returns the (n, D) concatenation of the heads.
 
     The weights are formed one tile at a time. Each run's rows split into
     equal tiles of at most ``SCORE_CHUNK_BYTES // (8 nk)`` rows, and the
@@ -348,7 +348,7 @@ def dtam_attention(q, k, v, bias, heads, runs=None, weights_out=None):
             f"and divisible by {heads} heads")
     if v.shape[0] != nk or nk == 0:
         raise DimensionError(f"keys {k.shape} and values {v.shape} need the same nonzero rows")
-    runs = [1] * n if runs is None else [int(r) for r in runs]
+    runs = [int(r) for r in runs]
     if min(runs, default=1) < 1 or sum(runs) != n:
         raise DimensionError(f"query runs {runs} are not positive lengths summing to {n}")
     if bias is not None:
@@ -508,14 +508,6 @@ def rearrange(a, split, axes, shape):
     moved = tuple(split[i] for i in axes)
     return node(a.data.reshape(split).transpose(axes).reshape(shape), (a,),
                 lambda g: g.reshape(moved).transpose(np.argsort(axes)).reshape(a.shape))
-
-
-def embedding_lookup(table, index):
-    table = as_tensor(table)
-    index = int(index)
-    if not 0 <= index < table.shape[0]:
-        raise IndexError(f"embedding index {index} out of range for table {table.shape}")
-    return node(table.data[index], (table,), lambda g: _scatter(table.data, index, g))
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError, DomainError
+from .phantom import PHASE_NAMES
 
-PHASE_INDEX = {"art": 0, "pv": 1, "delay": 2}
+PHASE_INDEX = {name: i for i, name in enumerate(PHASE_NAMES)}
 
 
 @dataclass

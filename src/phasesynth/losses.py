@@ -105,11 +105,13 @@ def seg_loss(seg_logits_per_phase, gt_mask, weights):
 def cls_loss(class_probs, label):
     """Negative log probability of the true class, clamped below at PROB_CLAMP
     (no gradient at or below it), as one node doing the float operations of
-    the slice, clip, log and scale nodes it replaces, in their order."""
+    the slice, clip, log and scale nodes it replaces, in their order. A NaN
+    probability is not clamped: its loss and gradient are NaN, which
+    ``total_loss`` refuses."""
     if label not in (0, 1):
         raise ContractError(f"invalid class label {label}")
     probs = ad.as_tensor(class_probs)
-    keep = probs.data[label] > PROB_CLAMP
+    keep = not probs.data[label] <= PROB_CLAMP
     p = probs.data[label] if keep else PROB_CLAMP
 
     def adjoint(g):

@@ -31,6 +31,10 @@ PSNR_CAP = 100.0
 SSIM_WINDOW = 8
 SSIM_C1 = 0.01 ** 2
 SSIM_C2 = 0.03 ** 2
+# the figures a report aggregates and the ablation table shows, by report
+# section; "phase" stands for each of PHASE_NAMES
+REPORT_METRICS = {"phase": ("mse", "psnr", "ssim"), "seg": ("dice", "iou", "hd95", "asd"),
+                  "classification": ("accuracy", "sensitivity", "specificity", "f1")}
 
 
 def mse(a, b):
@@ -292,11 +296,11 @@ def evaluate(checkpoint_path, data_dir, split="test", out_path=None):
     for name in PHASE_NAMES:
         aggregates[name] = {
             k: _finite_mean(c["per_phase"][name][k] for c in cases_out)
-            for k in ("mse", "psnr", "ssim")
+            for k in REPORT_METRICS["phase"]
         }
     aggregates["seg"] = {
         k: _finite_mean(c["seg"][k] for c in cases_out)
-        for k in ("dice", "iou", "hd95", "asd")
+        for k in REPORT_METRICS["seg"]
     }
     aggregates["seg"]["empty_mask_count"] = sum(c["seg"]["empty_mask"] for c in cases_out)
 

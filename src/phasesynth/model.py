@@ -24,13 +24,14 @@ from .errors import ConfigError, ContractError
 from .losses import LossWeights
 from .phantom import PHASE_NAMES
 
-# ablation -> (gaussian decay, phase token, time token, TCC participates)
+# ablation -> (gaussian decay, phase token, time token, TCC participates),
+# in the order of the ablation table
 ABLATIONS = {
-    "full": (True, True, True, True),
+    "baseline": (False, False, False, False),
     "no_dtam": (False, True, True, True),
     "no_cte": (True, False, False, True),
     "no_t_encoding": (True, True, False, True),
-    "baseline": (False, False, False, False),
+    "full": (True, True, True, True),
 }
 
 
@@ -142,6 +143,11 @@ def param_shapes(cfg):
 def init_params(cfg, rng):
     """Seeded parameter initialization.
 
+    Every tensor starts as zeros of its ``param_shapes`` shape. The drawn
+    ones are then replaced by normal draws in a fixed order (a change to
+    that order changes every trained model), and the structure below is
+    written over them.
+
     The patch embedding and decoder start structure-preserving where the
     dimensions allow it: half the token dims carry a pooled copy of the
     image channel, a quarter the mask channel, an eighth the amplified
@@ -158,10 +164,9 @@ def init_params(cfg, rng):
     from the first epoch instead of waiting for attention weights to
     grow out of zero.
     """
-    cfg.validate()
+    arrays = {name: np.zeros(shape) for name, shape in param_shapes(cfg).items()}
     d = cfg.embed_dim
     p2 = cfg.patch_size ** 2
-    n = (cfg.image_size // cfg.patch_size) ** 2
     head_dim = d // cfg.head_count
     half = d // 2
     mq = d // 4
@@ -174,12 +179,21 @@ def init_params(cfg, rng):
     pooled = pool_half is not None and pool_mq is not None and pool_gate is not None
     beacon = pooled and carrier >= 4 and head_dim >= 4
 
-    def normal(shape, std):
-        return rng.normal(0.0, std, size=shape)
+    for name, std in (("enc.patch_w", 0.02), ("dec.img_w", 0.02), ("dec.seg_w", 0.02),
+                      ("enc.fuse_w", 0.1), ("att.q_w", 0.05), ("att.k_w", 0.05),
+                      ("att.v_w", 0.1), ("enc.proj_w", 0.02), ("enc.phase_table", 0.5),
+                      ("att.in_w", 0.02), ("att.pos", 0.02)):
+        arrays[name] = rng.normal(0.0, std, size=arrays[name].shape)
+    # unused draws, as many as the TCC signal network once took, keep enc.mix* init bit-identical
+    rng.normal(size=256 * d + 41_280)
+    for s in range(cfg.depth):
+        arrays[f"enc.mix{s}_w"] = rng.normal(0.0, 0.02, size=(d, d))
+    arrays["enc.proj_w"] += np.eye(d)
+    arrays["att.in_w"] += np.eye(d)
 
-    patch_w = normal((3 * p2, d), 0.02)
-    img_w = normal((d, p2), 0.02)
-    seg_w = normal((d, p2), 0.02)
+    patch_w, img_w, seg_w = arrays["enc.patch_w"], arrays["dec.img_w"], arrays["dec.seg_w"]
+    fuse_w, fuse_b = arrays["enc.fuse_w"], arrays["enc.fuse_b"]
+    q_w, k_w, v_w, out_w = (arrays[f"att.{m}_w"] for m in ("q", "k", "v", "out"))
     if pooled:
         # dims [0, half): pooled image; [half, half+mq): pooled mask;
         # [half+mq, cb): amplified pooled masked image; [cb, d): carriers
@@ -188,18 +202,9 @@ def init_params(cfg, rng):
         patch_w[2 * p2:, half + mq:cb] += GATE_GAIN * pool_gate
         img_w[:half, :] += 4.0 * (p2 // half) * pool_half.T
         seg_w[half:half + mq, :] += 8.0 * (p2 // mq) * pool_mq.T
-        img_b = np.full(p2, -2.0)
-        seg_b = np.full(p2, -2.0)
-    else:
-        img_b = np.zeros(p2)
-        seg_b = np.zeros(p2)
+        arrays["dec.img_b"][:] = -2.0
+        arrays["dec.seg_b"][:] = -2.0
 
-    fuse_w = normal((d + 2, d), 0.1)
-    fuse_b = np.zeros(d)
-    q_w = normal((d, d), 0.05)
-    k_w = normal((d, d), 0.05)
-    v_w = normal((d, d), 0.1)
-    out_w = np.zeros((d, d))
     if beacon:
         n_phase = min(carrier - 3, head_dim - 3)
         # condition token: time encoding into the first two carrier dims,
@@ -224,36 +229,6 @@ def init_params(cfg, rng):
         out_w[2, :half] = 0.05
         out_w[3:3 + n_phase, :half] = 0.02
 
-    arrays = {
-        "enc.patch_w": patch_w,
-        "enc.patch_b": np.zeros(d),
-        "enc.proj_w": np.eye(d) + normal((d, d), 0.02),
-        "enc.proj_b": np.zeros(d),
-        "enc.phase_table": normal((3, d), 0.5),
-        "enc.fuse_w": fuse_w,
-        "enc.fuse_b": fuse_b,
-        "att.in_w": np.eye(d) + normal((d, d), 0.02),
-        "att.in_b": np.zeros(d),
-        "att.pos": normal((3 * (n + 1), d), 0.02),
-        "att.q_w": q_w,
-        "att.k_w": k_w,
-        "att.v_w": v_w,
-        "att.out_w": out_w,
-        "att.out_b": np.zeros(d),
-        "dec.img_w": img_w,
-        "dec.img_b": img_b,
-        "dec.seg_w": seg_w,
-        "dec.seg_b": seg_b,
-        "cls.fuse_w": np.zeros((4 * d, 2)),
-        "cls.fuse_b": np.zeros(2),
-        "cls.aux_w": np.zeros((d, 1)),
-        "cls.aux_b": np.zeros(1),
-    }
-    # unused draws, as many as the TCC signal network once took, keep enc.mix* init bit-identical
-    rng.normal(size=256 * d + 41_280)
-    for s in range(cfg.depth):
-        arrays[f"enc.mix{s}_w"] = normal((d, d), 0.02)
-        arrays[f"enc.mix{s}_b"] = np.zeros(d)
     return {name: ad.Tensor(a, requires_grad=True) for name, a in arrays.items()}
 
 
@@ -263,8 +238,9 @@ def _depatchify(tokens, grid, patch):
                         (grid * patch, grid * patch))
 
 
-def synthesize_phase(index, cond, prior_blocks, cfg, params, use_decay=True, record=None):
-    """One autoregressive step. Returns (PhaseOutput, retained token block)."""
+def synthesize_phase(index, cond, prior_blocks, cfg, params, use_decay=True, weights_out=None):
+    """One autoregressive step. Returns (PhaseOutput, retained token block).
+    ``weights_out``, a list, receives each head's attention weights."""
     if len(prior_blocks) != index:
         raise ContractError(f"phase {index} expects {index} prior blocks, got {len(prior_blocks)}")
     block_times = [t for _, t in prior_blocks] + [cond.time]
@@ -277,7 +253,7 @@ def synthesize_phase(index, cond, prior_blocks, cfg, params, use_decay=True, rec
         + [np.full(b.shape[0], t) for b, t in prior_blocks])
     tokens = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=0)
 
-    out = mmhsa_block(tokens, times, cfg, params, use_decay=use_decay, record=record)
+    out = mmhsa_block(tokens, times, cfg, params, use_decay=use_decay, weights_out=weights_out)
     n_cond = cond.tokens.shape[0]
     block = ad.slice_axis(out, 0, 0, n_cond)
 
@@ -337,11 +313,11 @@ def run_autoregressive(ncmri, mask, times, params, cfg, ablation="full", record=
     for i, (name, t) in enumerate(zip(PHASE_NAMES, times)):
         cond = build_conditional_token(t_ot, name, t, cfg, params,
                                        use_phase=use_phase, use_time=use_time)
-        rec = {} if record is not None else None
+        heads = [] if record is not None else None
         po, block = synthesize_phase(i, cond, blocks, cfg, params,
-                                     use_decay=use_decay, record=rec)
+                                     use_decay=use_decay, weights_out=heads)
         if record is not None:
-            record.append({"phase": name, "heads": rec.get("weights", []),
+            record.append({"phase": name, "heads": heads,
                            "block_sizes": [cond.tokens.shape[0]] + [b.shape[0] for b, _ in blocks],
                            "block_times": [t] + [bt for _, bt in blocks]})
         phase_outputs.append(po)

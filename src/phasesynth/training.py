@@ -12,13 +12,13 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, NumericalError
 from .losses import AdamState, adam_step, cls_loss, lr_at, seg_loss, syn_loss, total_loss
-from .metrics import evaluate, score_case
+from .metrics import REPORT_METRICS, evaluate, score_case
 from .model import ABLATIONS, TrainConfig, init_params, run_autoregressive
 from .phantom import PHASE_NAMES, load_case, load_manifest
 from .tcc import tcc_loss
 from .tensorio import save_archive
 
-ABLATION_ORDER = ("baseline", "no_dtam", "no_cte", "no_t_encoding", "full")
+ABLATION_ORDER = tuple(ABLATIONS)
 
 
 def manifest_hash(data_dir):
@@ -162,27 +162,17 @@ def run_ablation(base_cfg, data_dir, out_dir):
         report = evaluate(result["checkpoint"], data_dir, split="test",
                           out_path=os.path.join(variant_dir, "report.json"))
         agg = report["aggregates"]
-        rows.append({
-            "variant": variant,
-            "data_manifest_hash": manifest_hash(data_dir),
-            "mse": float(np.mean([agg[p]["mse"] for p in ("art", "pv", "delay")])),
-            "psnr": float(np.mean([agg[p]["psnr"] for p in ("art", "pv", "delay")])),
-            "ssim": float(np.mean([agg[p]["ssim"] for p in ("art", "pv", "delay")])),
-            "dice": agg["seg"]["dice"],
-            "iou": agg["seg"]["iou"],
-            "hd95": agg["seg"]["hd95"],
-            "asd": agg["seg"]["asd"],
-            "accuracy": agg["classification"]["accuracy"],
-            "sensitivity": agg["classification"]["sensitivity"],
-            "specificity": agg["classification"]["specificity"],
-            "f1": agg["classification"]["f1"],
-        })
+        row = {"variant": variant, "data_manifest_hash": manifest_hash(data_dir)}
+        for section, names in REPORT_METRICS.items():
+            for k in names:  # a phase figure is the mean over the three phases
+                row[k] = (float(np.mean([agg[p][k] for p in PHASE_NAMES])) if section == "phase"
+                          else agg[section][k])
+        rows.append(row)
     return rows
 
 
 def format_ablation_table(rows):
-    cols = ("variant", "mse", "psnr", "ssim", "dice", "iou", "hd95", "asd",
-            "accuracy", "sensitivity", "specificity", "f1")
+    cols = ("variant", *(k for names in REPORT_METRICS.values() for k in names))
     lines = ["  ".join(f"{c:>12}" for c in cols)]
     for row in rows:
         cells = []

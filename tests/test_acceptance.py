@@ -166,14 +166,13 @@ def _op_cases(r):
          lambda x, y: syn_loss([x, y], syn_gts), ("a", "b")),
         ("seg_loss", {"a": 3 * a34(), "b": 3 * a34()},
          lambda x, y: seg_loss([x, y], seg_gt, LossWeights(dice=0.7, ce=1.3)), ("a", "b")),
-        ("embedding_lookup", {"a": r.uniform(-1, 1, (5, 3))},
-         lambda x: ad.embedding_lookup(x, 2), ("a",)),
         ("dtam_attention", {"a": a34(), "b": r.uniform(-1, 1, (5, 4)),
                             "c": r.uniform(-1, 1, (5, 4))},
-         lambda x, y, z: ad.dtam_attention(x, y, z, None, 2), ("a", "b", "c")),
+         lambda x, y, z: ad.dtam_attention(x, y, z, None, 2, [1] * 3), ("a", "b", "c")),
         ("dtam_attention_bias", {"a": a34(), "b": r.uniform(-1, 1, (5, 4)),
                                  "c": r.uniform(-1, 1, (5, 4))},
-         partial(ad.dtam_attention, bias=np.log(r.uniform(0.05, 1.0, (3, 5))), heads=2),
+         partial(ad.dtam_attention, bias=np.log(r.uniform(0.05, 1.0, (3, 5))), heads=2,
+                 runs=[1] * 3),
          ("a", "b", "c")),
     ]
     return [(name, arrays, _probed(op, r, *args)) for name, arrays, op, args in cases]

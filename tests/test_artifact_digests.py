@@ -22,7 +22,8 @@ def test_every_output_but_the_run_manifests_is_digested_the_same_twice(tmp_path,
     digests = json.loads(printed)
     on_disk = {p.relative_to(tmp_path / "one").as_posix()
                for p in (tmp_path / "one").rglob("*") if p.is_file()}
-    manifests = {"data/run_manifest.json", "run/run_manifest.json", "synth/run_manifest.json"}
+    manifests = {"data/run_manifest.json", "run/run_manifest.json", "synth/run_manifest.json",
+                 "ablation/run_manifest.json"}
     assert manifests <= on_disk
     assert set(digests) == on_disk - manifests
     for path in ("data/manifest.json", "run/checkpoint.ntar", "run/train_log.jsonl",
@@ -30,6 +31,11 @@ def test_every_output_but_the_run_manifests_is_digested_the_same_twice(tmp_path,
         assert digests[path] == hashlib.sha256((tmp_path / "one" / path).read_bytes()).hexdigest()
     # 6 test cases: three phases and a mask as PGM, a class JSON, three attention CSVs
     assert len([p for p in digests if p.startswith("synth/")]) == 6 * 8
+    # the table, its JSON, and a checkpoint, log and report per variant
+    assert {p for p in digests if p.startswith("ablation/")} == {
+        "ablation/ablation.json", "ablation/ablation_table.txt",
+        *(f"ablation/{v}/{f}" for v in ("baseline", "no_dtam", "no_cte", "no_t_encoding", "full")
+          for f in ("checkpoint.ntar", "train_log.jsonl", "report.json"))}
     assert run(tmp_path / "two", capsys) == (0, printed)
 
 

@@ -210,11 +210,11 @@ def test_block_width_that_heads_do_not_divide_is_refused():
 def test_block_records_head_weights():
     d = 8
     params = block_params(d, 10)
-    record = {}
+    weights = []
     mmhsa_block(ad.Tensor(rng.uniform(-1, 1, (4, d))), np.full(4, 0.1),
-                DtamConfig(head_count=4), params, record=record)
-    assert len(record["weights"]) == 4
-    for w in record["weights"]:
+                DtamConfig(head_count=4), params, weights_out=weights)
+    assert len(weights) == 4
+    for w in weights:
         assert w.shape == (4, 4)
 
 
@@ -268,20 +268,20 @@ def test_block_heads_match_per_head_dtam_weights():
     detached = {name: ad.Tensor(t.data) for name, t in trained.items()}
     records = []
     for params in (trained, detached):
-        record = {}
-        records.append(record)
-        mmhsa_block(tokens, times, DtamConfig(head_count=heads), params, record=record)
+        weights = []
+        records.append(weights)
+        mmhsa_block(tokens, times, DtamConfig(head_count=heads), params, weights_out=weights)
         h = ad.add(ad.linear(tokens, params["att.in_w"], params["att.in_b"]),
                    ad.slice_axis(params["att.pos"], 0, 0, 6))
         q, k = ad.linear(h, params["att.q_w"]), ad.linear(h, params["att.k_w"])
         hd = d // heads
-        assert len(record["weights"]) == heads
-        for i, w in enumerate(record["weights"]):
+        assert len(weights) == heads
+        for i, w in enumerate(weights):
             ref = dtam_weights(ad.slice_axis(q, 1, i * hd, (i + 1) * hd),
                                ad.slice_axis(k, 1, i * hd, (i + 1) * hd), times, times, 0.7)
             # the kernel's softmax is unshifted, the composition's shifted
             np.testing.assert_allclose(w, ref.data, rtol=1e-13, atol=0)
-    for kept, also_kept in zip(*(r["weights"] for r in records)):
+    for kept, also_kept in zip(*records):
         np.testing.assert_array_equal(kept, also_kept)
 
 

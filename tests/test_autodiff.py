@@ -115,17 +115,6 @@ def test_concat_empty_list_rejected():
         ad.concat([], axis=0)
 
 
-def test_embedding_lookup_row():
-    table = rng.uniform(-1, 1, (3, 8))
-    out = ad.embedding_lookup(ad.Tensor(table), 2)
-    np.testing.assert_array_equal(out.data, table[2])
-
-
-def test_embedding_out_of_range():
-    with pytest.raises(IndexError):
-        ad.embedding_lookup(ad.Tensor(np.zeros((3, 8))), 3)
-
-
 def test_slice_out_of_range():
     with pytest.raises(IndexError):
         ad.slice_axis(ad.Tensor(np.zeros((3, 2))), 0, 1, 5)
@@ -324,7 +313,7 @@ def test_dtam_attention_equals_per_head_composition(n, nk, heads, with_bias):
 
     token_bias = np.log(rng.uniform(0.05, 1.0, (n, nk))) if with_bias else None
     (out, *grads), (_, *composed) = run_both(
-        lambda t: ad.dtam_attention(t["q"], t["k"], t["v"], token_bias, heads),
+        lambda t: ad.dtam_attention(t["q"], t["k"], t["v"], token_bias, heads, [1] * n),
         lambda t: per_head_attention(t["q"], t["k"], t["v"], token_bias, heads, [1] * n),
         arrays)
     oracle, _ = longdouble_attention(arrays["q"], arrays["k"], arrays["v"], token_bias, heads)
@@ -519,7 +508,7 @@ def test_dtam_attention_redoes_only_the_tile_with_a_failing_row(monkeypatch, tri
 ])
 def test_dtam_attention_rejects_bad_shapes(shapes, heads, bias_shape):
     q, k, v = (ad.Tensor(np.zeros(s)) for s in shapes[:3])
-    runs = shapes[3] if len(shapes) == 4 else None
+    runs = shapes[3] if len(shapes) == 4 else [1] * shapes[0][0]
     bias = None if bias_shape is None else np.zeros(bias_shape)
     with pytest.raises(DimensionError):
         ad.dtam_attention(q, k, v, bias, heads, runs)

@@ -105,6 +105,19 @@ def test_cls_invalid_label():
         cls_loss(ad.Tensor([0.5, 0.5]), 2)
 
 
+def test_cls_of_a_nan_probability_is_nan_and_total_refuses_it():
+    # the clamp keeps p > PROB_CLAMP; a NaN must not be clamped into a finite loss
+    probs = ad.Tensor([np.nan, np.nan], requires_grad=True)
+    loss = cls_loss(probs, 1)
+    assert np.isnan(loss.item())
+    ad.backward(loss)
+    assert probs.grad[0] == 0.0 and np.isnan(probs.grad[1])
+    parts = scalars(1, 2, 3, 4)
+    parts[2] = cls_loss(ad.Tensor([np.nan, np.nan]), 1)
+    with pytest.raises(NumericalError, match="non-finite cls loss"):
+        total_loss(*parts, LossWeights())
+
+
 # ---------------------------------------------------------------------------
 # total loss
 

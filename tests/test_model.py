@@ -1,5 +1,7 @@
 """Autoregressive core: phase loop, decoding, voting, classification."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -224,6 +226,25 @@ def test_default_model_parameter_count():
 def test_param_shapes_match_init_params(cfg):
     params = init_params(cfg, np.random.default_rng(0))
     assert param_shapes(cfg) == {name: p.shape for name, p in params.items()}
+
+
+@pytest.mark.parametrize("cfg, digest", [
+    (ModelConfig(), "a319d8e2bd2796be94eb314cf17829167ed78b4ddc0c60007fa2335a84a52e8c"),
+    (ModelConfig(image_size=128),
+     "6d968241a966b0c7c6df81ae5f932f815941ff11f54dcfbdaa73346d8f3d3d5b"),
+    (small_setup()[0], "cceb4f5fd50302509683a9fceaa4000bb1677c0e793bb4a296c407e3c53f5ab0"),
+    (ModelConfig(image_size=16, patch_size=8, embed_dim=16, depth=0),
+     "60b7661f32857fe1658192839061a5cbaa401e99131965ece2ef069d92b44949"),
+], ids=["default", "128px", "16px-depth1", "16px-depth0"])
+def test_init_params_bytes_are_pinned(cfg, digest):
+    # SHA-256 over the names and bytes of the tensors, sorted by name: a change
+    # to the draws or the structured init changes every trained model
+    params = init_params(cfg, np.random.default_rng(42))
+    h = hashlib.sha256()
+    for name in sorted(params):
+        h.update(name.encode())
+        h.update(params[name].data.tobytes())
+    assert h.hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

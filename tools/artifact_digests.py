@@ -6,8 +6,9 @@ Through ``phasesynth.cli.main``, in this process and on this checkout's
 ``src/``: ``generate`` a 24-case 64 px phantom (seed 11, split
 0.5/0.25/0.25) into ``DIR/data``, ``train`` it for 3 epochs (warm-up 1,
 seed 3) into ``DIR/run``, ``evaluate`` the checkpoint on test and on val
-into ``DIR/eval_test.json`` and ``DIR/eval_val.json``, and ``synthesize
---dump-attention`` on test into ``DIR/synth``. Then print one JSON object
+into ``DIR/eval_test.json`` and ``DIR/eval_val.json``, ``synthesize
+--dump-attention`` on test into ``DIR/synth``, and ``ablate`` with the same
+train config into ``DIR/ablation``. Then print one JSON object
 that maps each file's path relative to DIR to its SHA-256, sorted by
 path. The ``run_manifest.json`` files are left out: they hold timestamps.
 Two checkouts that print the same JSON wrote the same bytes.
@@ -33,7 +34,7 @@ TRAIN = {"epochs": 3, "warmup_epochs": 1, "seed": 3}
 
 
 def run_pipeline(out):
-    """The five commands; 0, or the exit code of the first that fails."""
+    """The six commands; 0, or the exit code of the first that fails."""
     if str(ROOT / "src") not in sys.path:
         sys.path.insert(0, str(ROOT / "src"))
     from phasesynth.cli import main
@@ -52,6 +53,8 @@ def run_pipeline(out):
                "--out", os.path.join(out, f"eval_{split}.json")] for split in ("test", "val")),
             ["synthesize", "--checkpoint", checkpoint, "--data", data, "--split", "test",
              "--out", os.path.join(out, "synth"), "--dump-attention"],
+            ["ablate", "--config", configs[1], "--data", data,
+             "--out", os.path.join(out, "ablation")],
         ]
         for argv in commands:
             with contextlib.redirect_stdout(sys.stderr):  # stdout holds only the digests
