@@ -191,10 +191,8 @@ def init_params(cfg, rng):
     arrays["enc.proj_w"] += np.eye(d)
     arrays["att.in_w"] += np.eye(d)
 
-    patch_w, img_w, seg_w = arrays["enc.patch_w"], arrays["dec.img_w"], arrays["dec.seg_w"]
-    fuse_w, fuse_b = arrays["enc.fuse_w"], arrays["enc.fuse_b"]
-    q_w, k_w, v_w, out_w = (arrays[f"att.{m}_w"] for m in ("q", "k", "v", "out"))
     if pooled:
+        patch_w, img_w, seg_w = arrays["enc.patch_w"], arrays["dec.img_w"], arrays["dec.seg_w"]
         # dims [0, half): pooled image; [half, half+mq): pooled mask;
         # [half+mq, cb): amplified pooled masked image; [cb, d): carriers
         patch_w[:p2, :half] += pool_half
@@ -206,6 +204,8 @@ def init_params(cfg, rng):
         arrays["dec.seg_b"][:] = -2.0
 
     if beacon:
+        fuse_w, fuse_b = arrays["enc.fuse_w"], arrays["enc.fuse_b"]
+        q_w, k_w, v_w, out_w = (arrays[f"att.{m}_w"] for m in ("q", "k", "v", "out"))
         n_phase = min(carrier - 3, head_dim - 3)
         # condition token: time encoding into the first two carrier dims,
         # a constant marker into the third; keep those three columns free
