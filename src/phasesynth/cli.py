@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from .errors import ConfigError, ContractError, DomainError, GenerationError, NumericalError
-from .metrics import evaluate, load_checkpoint
+from .metrics import class_record, evaluate, load_checkpoint
 from .model import run_autoregressive
 from .phantom import PHASE_NAMES, PhantomConfig, generate_dataset, load_case, load_manifest
 from .tensorio import save_pgm
@@ -49,7 +49,7 @@ def _write_run_manifest(out_dir, command, args, seed, started, outputs):
         "args": {k: v for k, v in vars(args).items() if k != "func"},
         "seed": seed,
         "started": started,
-        "finished": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "finished": _now(),
         "outputs": [os.path.abspath(p) for p in outputs],
     }
     for p in manifest["outputs"]:
@@ -154,13 +154,7 @@ def cmd_synthesize(args):
             save_pgm(outputs[-1], bundle.aggregated_mask.astype(np.float64))
             outputs.append(os.path.join(args.out, f"{cid}_class.json"))
             with open(outputs[-1], "w") as f:
-                json.dump({
-                    "class_probs": bundle.class_probs.data.tolist(),
-                    "predicted": int(np.argmax(bundle.class_probs.data)),
-                    "per_phase_cls": [p.item() for p in bundle.per_phase_cls],
-                    "signals": bundle.signals,
-                    "signal_labels": bundle.signal_labels,
-                }, f, indent=1, sort_keys=True)
+                json.dump(class_record(bundle), f, indent=1, sort_keys=True)
             if record is not None:
                 _dump_attention(record, args.out, cid, attention)
     except BaseException:
@@ -211,14 +205,16 @@ def build_parser():
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("train", help="train a model")
-    p.add_argument("--config", help="TrainConfig JSON")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    run = argparse.ArgumentParser(add_help=False)  # the options train and ablate share
+    run.add_argument("--config", help="TrainConfig JSON")
+    run.add_argument("--data", required=True)
+    run.add_argument("--out", required=True)
+    run.add_argument("--epochs", type=int)
+    run.add_argument("--seed", type=int)
+    run.add_argument("--force", action="store_true")
+
+    p = sub.add_parser("train", parents=[run], help="train a model")
     p.add_argument("--ablation", choices=ABLATION_ORDER)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on a split")
@@ -237,13 +233,7 @@ def build_parser():
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_synthesize)
 
-    p = sub.add_parser("ablate", help="train and compare all ablation variants")
-    p.add_argument("--config", help="TrainConfig JSON")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--force", action="store_true")
+    p = sub.add_parser("ablate", parents=[run], help="train and compare all ablation variants")
     p.set_defaults(func=cmd_ablate)
     return parser
 

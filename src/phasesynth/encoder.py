@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,22 +22,24 @@ from .phantom import PHASE_NAMES
 PHASE_INDEX = {name: i for i, name in enumerate(PHASE_NAMES)}
 
 
-@dataclass
-class ConditionalToken:
+class ConditionalToken(NamedTuple):
+    """A step's token block and its time, shaped as a retained ``(block, t)`` pair."""
     tokens: ad.Tensor  # (N+1, D) assembled sequence, or (N, D) without conditioning
     time: float  # normalized acquisition time, also the decay stamp
 
 
 def patchify(images, patch_size):
-    """Stack of (H, W) channel images -> (N, channels * patch_size**2), row-major patches."""
-    chans = [np.asarray(img, dtype=np.float64) for img in images]
-    h, w = chans[0].shape
-    g = h // patch_size
-    flat = []
-    for img in chans:
-        p = img.reshape(g, patch_size, g, patch_size).transpose(0, 2, 1, 3).reshape(g * g, patch_size ** 2)
-        flat.append(p)
-    return np.concatenate(flat, axis=1)
+    """Stack of (H, W) channel images -> (N, channels * patch_size**2): row-major
+    patches, each row every channel's patch in turn; ``depatchify`` inverts it."""
+    x = np.asarray(images, dtype=np.float64)
+    c, h, w, p = *x.shape, patch_size
+    return x.reshape(c, h // p, p, w // p, p).transpose(1, 3, 0, 2, 4).reshape(-1, c * p * p)
+
+
+def depatchify(tokens, grid, patch):
+    """(N, patch^2) one-channel token maps -> (H, W) image on the tape; ``patchify``'s inverse."""
+    return ad.rearrange(tokens, (grid, grid, patch, patch), (0, 2, 1, 3),
+                        (grid * patch, grid * patch))
 
 
 @functools.lru_cache(maxsize=None)
@@ -82,7 +84,7 @@ def encode_features(ncmri, tumor_mask, cfg, params):
     mix = ad.Tensor(neighbor_mix_matrix(grid))
     for s in range(cfg.depth):
         h = ad.relu(ad.linear(x, params[f"enc.mix{s}_w"], params[f"enc.mix{s}_b"]))
-        x = ad.add(x, ad.linear(mix, h))
+        x = ad.linear(mix, h, x)  # the residual rides in as the bias
     return ad.linear(x, params["enc.proj_w"], params["enc.proj_b"])
 
 
@@ -101,14 +103,15 @@ def phase_embedding(phase, params):
 def build_conditional_token(t_ot, phase, t, cfg, params, use_phase=True, use_time=True):
     """Assemble [t_OT, fused(phase, time)] for one synthesis step.
 
-    use_phase / use_time implement the conditioning ablations: with both
-    off the sequence is the bare token grid.
+    use_phase / use_time implement the conditioning ablations. No phase token,
+    no condition token: without use_phase the sequence is the bare token grid;
+    without use_time the fusion's time input is zero.
     """
     t_enc = time_encoding(t, cfg.omega)  # validates t on every path
-    if not (use_phase or use_time):
+    if not use_phase:
         return ConditionalToken(tokens=t_ot, time=t)
-    t_phase = phase_embedding(phase, params)
-    parts = [t_phase, ad.Tensor((t_enc if use_time else np.zeros(2)).reshape(1, 2))]
+    parts = [phase_embedding(phase, params),
+             ad.Tensor((t_enc if use_time else np.zeros(2)).reshape(1, 2))]
     fused = ad.linear(ad.concat(parts, axis=1), params["enc.fuse_w"], params["enc.fuse_b"])
     if fused.shape[1] != t_ot.shape[1]:
         raise ContractError("fused condition token width differs from token grid width")

@@ -11,7 +11,7 @@ at 100 dB so aggregates over identical images stay finite; a NaN error
 gives a NaN PSNR, never the cap.
 
 Validation takes the means of ``score_case``; ``evaluate`` builds each report
-entry on it and adds SSIM, IoU, the surface distances and the signals.
+entry on it and adds SSIM, IoU, the surface distances and ``class_record``.
 """
 
 from __future__ import annotations
@@ -249,10 +249,17 @@ def score_case(bundle, case):
         per_phase[name] = {"mse": err, "psnr": _psnr_of_mse(err)}
     return {
         "label": case.class_label,
-        "predicted": int(np.argmax(bundle.class_probs.data)),
+        "predicted": bundle.predicted,
         "per_phase": per_phase,
         "seg": {"dice": dice(bundle.aggregated_mask, case.tumor_mask)},
     }
+
+
+def class_record(bundle):
+    """One pass's class fields, as ``evaluate``'s entries and ``<id>_class.json`` hold them."""
+    return {"class_probs": bundle.class_probs.data.tolist(), "predicted": bundle.predicted,
+            "per_phase_cls": [p.item() for p in bundle.per_phase_cls],
+            "signals": bundle.signals, "signal_labels": bundle.signal_labels}
 
 
 def _finite_mean(values):
@@ -281,15 +288,7 @@ def evaluate(checkpoint_path, data_dir, split="test", out_path=None):
         scores["seg"].update(iou=iou(bundle.aggregated_mask, case.tumor_mask),
                              hd95=None if empty else h, asd=None if empty else a,
                              empty_mask=empty)
-        cases_out.append({
-            "id": entry["id"],
-            "split": split,
-            **scores,
-            "class_probs": bundle.class_probs.data.tolist(),
-            "signals": bundle.signals,
-            "signal_labels": bundle.signal_labels,
-            "per_phase_cls": [p.item() for p in bundle.per_phase_cls],
-        })
+        cases_out.append({"id": entry["id"], "split": split, **scores, **class_record(bundle)})
 
     aggregates = {"classification": classification_metrics(
         [c["predicted"] for c in cases_out], [c["label"] for c in cases_out])}

@@ -19,7 +19,7 @@ from . import autodiff as ad
 from . import tcc as tcc_mod
 from .attention import DtamConfig, mmhsa_block
 from .config import Config
-from .encoder import build_conditional_token, encode_features
+from .encoder import build_conditional_token, depatchify, encode_features
 from .errors import ConfigError, ContractError
 from .losses import LossWeights
 from .phantom import PHASE_NAMES
@@ -99,6 +99,10 @@ class PredictionBundle:
     per_phase_cls: list  # 3 scalar Tensors
     signals: list  # 3 floats, detached
     signal_labels: list  # 3 ints, detached
+
+    @property
+    def predicted(self):  # 0 benign, 1 malignant
+        return int(np.argmax(self.class_probs.data))
 
 
 # amplification applied to the masked-image token dims at init, keeping the
@@ -232,37 +236,28 @@ def init_params(cfg, rng):
     return {name: ad.Tensor(a, requires_grad=True) for name, a in arrays.items()}
 
 
-def _depatchify(tokens, grid, patch):
-    """(N, patch^2) token maps -> (H, W) image, inverse of patch flattening."""
-    return ad.rearrange(tokens, (grid, grid, patch, patch), (0, 2, 1, 3),
-                        (grid * patch, grid * patch))
-
-
 def synthesize_phase(index, cond, prior_blocks, cfg, params, use_decay=True, weights_out=None):
     """One autoregressive step. Returns (PhaseOutput, retained token block).
-    ``weights_out``, a list, receives each head's attention weights."""
+    The sequence is ``[cond, *prior_blocks]`` of ``(block, t)`` pairs, each token stamped
+    with its block's time. ``weights_out``, a list, receives each head's attention weights."""
     if len(prior_blocks) != index:
         raise ContractError(f"phase {index} expects {index} prior blocks, got {len(prior_blocks)}")
-    block_times = [t for _, t in prior_blocks] + [cond.time]
-    if block_times != sorted(block_times):
+    seq = [cond, *prior_blocks]
+    block_times = [t for _, t in seq]
+    if block_times[1:] + block_times[:1] != sorted(block_times):  # prior blocks, then cond
         raise ContractError("token blocks must appear in non-decreasing time order")
 
-    pieces = [cond.tokens] + [b for b, _ in prior_blocks]
-    times = np.concatenate(
-        [np.full(cond.tokens.shape[0], cond.time)]
-        + [np.full(b.shape[0], t) for b, t in prior_blocks])
-    tokens = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=0)
-
-    out = mmhsa_block(tokens, times, cfg, params, use_decay=use_decay, weights_out=weights_out)
-    n_cond = cond.tokens.shape[0]
-    block = ad.slice_axis(out, 0, 0, n_cond)
+    tokens = ad.concat([b for b, _ in seq], axis=0) if prior_blocks else cond.tokens
+    stamps = np.repeat(block_times, [b.shape[0] for b, _ in seq])
+    out = mmhsa_block(tokens, stamps, cfg, params, use_decay=use_decay, weights_out=weights_out)
+    block = ad.slice_axis(out, 0, 0, cond.tokens.shape[0])
 
     grid = cfg.image_size // cfg.patch_size
     img_tokens = ad.slice_axis(block, 0, 0, grid * grid)
-    image = ad.sigmoid(_depatchify(
+    image = ad.sigmoid(depatchify(
         ad.linear(img_tokens, params["dec.img_w"], params["dec.img_b"]),
         grid, cfg.patch_size))
-    seg = _depatchify(
+    seg = depatchify(
         ad.linear(img_tokens, params["dec.seg_w"], params["dec.seg_b"]),
         grid, cfg.patch_size)
     feature = ad.reduce_mean(block, axis=0)
@@ -317,9 +312,10 @@ def run_autoregressive(ncmri, mask, times, params, cfg, ablation="full", record=
         po, block = synthesize_phase(i, cond, blocks, cfg, params,
                                      use_decay=use_decay, weights_out=heads)
         if record is not None:
+            seq = [cond, *blocks]
             record.append({"phase": name, "heads": heads,
-                           "block_sizes": [cond.tokens.shape[0]] + [b.shape[0] for b, _ in blocks],
-                           "block_times": [t] + [bt for _, bt in blocks]})
+                           "block_sizes": [b.shape[0] for b, _ in seq],
+                           "block_times": [bt for _, bt in seq]})
         phase_outputs.append(po)
         blocks.append((block, t))
 

@@ -63,6 +63,8 @@ def _validation_pass(cases, params, cfg, ablation, weights):
 def train(cfg, data_dir, out_dir, log_hook=None):
     """Run the full loop; writes the best-validation checkpoint and a JSONL log.
 
+    The checkpoint is saved, atomically, each time validation improves, so a
+    run that fails later (``NumericalError``) leaves the best epoch so far.
     Deterministic given cfg (including seed): identical configs produce
     bit-identical checkpoints and logs.
     """
@@ -85,7 +87,7 @@ def train(cfg, data_dir, out_dir, log_hook=None):
     checkpoint_path = os.path.join(out_dir, "checkpoint.ntar")
     data_hash = manifest_hash(data_dir)
 
-    best = {"val_loss": float("inf"), "epoch": -1, "arrays": None, "stats": None}
+    best = {"val_loss": float("inf"), "epoch": -1, "stats": None}
     records = []
     last_finite_epoch = -1
     with open(log_path, "w") as log_file:
@@ -128,17 +130,10 @@ def train(cfg, data_dir, out_dir, log_hook=None):
             if log_hook is not None:
                 log_hook(record)
             if stats["val_loss"] < best["val_loss"]:
-                best = {"val_loss": stats["val_loss"], "epoch": epoch,
-                        "arrays": {name: t.data.copy() for name, t in params.items()},
-                        "stats": stats}
-
-    meta = {
-        "config": cfg.echo(),
-        "epoch": best["epoch"],
-        "val_stats": best["stats"],
-        "data_manifest_hash": data_hash,
-    }
-    save_archive(checkpoint_path, best["arrays"], meta=meta)
+                best = {"val_loss": stats["val_loss"], "epoch": epoch, "stats": stats}
+                save_archive(checkpoint_path, {name: t.data for name, t in params.items()},
+                             meta={"config": cfg.echo(), "epoch": epoch, "val_stats": stats,
+                                   "data_manifest_hash": data_hash})
     return {
         "checkpoint": checkpoint_path,
         "log": log_path,

@@ -25,12 +25,11 @@ import pytest
 from conftest import FD_RTOL, FD_STEP, check_gradients, dtam_weights, numeric_grad_at
 from phasesynth import autodiff as ad
 from phasesynth.attention import DtamConfig, mmhsa_block
-from phasesynth.encoder import build_conditional_token, encode_features
+from phasesynth.encoder import build_conditional_token, depatchify, encode_features
 from phasesynth.losses import LossWeights, seg_loss, syn_loss
 from phasesynth.metrics import (asd, dice, evaluate, hd95, iou, load_checkpoint,
                                 mse, psnr, ssim)
-from phasesynth.model import (ModelConfig, _depatchify, init_params, run_autoregressive,
-                              synthesize_phase)
+from phasesynth.model import ModelConfig, init_params, run_autoregressive, synthesize_phase
 from phasesynth.phantom import PhantomConfig, generate_dataset, load_case, load_manifest
 from phasesynth.tcc import TAU, tcc_loss
 from phasesynth.training import ABLATION_ORDER, TrainConfig, train
@@ -161,7 +160,7 @@ def _op_cases(r):
                             "c": r.uniform(-1, 1, 2)},
          ad.linear, ("a", "b", "c")),
         ("depatchify", {"a": r.uniform(-1, 1, (4, 4))},
-         lambda x: _depatchify(x, 2, 2), ("a",)),
+         lambda x: depatchify(x, 2, 2), ("a",)),
         ("syn_loss", {"a": syn_a, "b": syn_b},
          lambda x, y: syn_loss([x, y], syn_gts), ("a", "b")),
         ("seg_loss", {"a": 3 * a34(), "b": 3 * a34()},

@@ -22,8 +22,8 @@ def test_every_output_but_the_run_manifests_is_digested_the_same_twice(tmp_path,
     digests = json.loads(printed)
     on_disk = {p.relative_to(tmp_path / "one").as_posix()
                for p in (tmp_path / "one").rglob("*") if p.is_file()}
-    manifests = {"data/run_manifest.json", "run/run_manifest.json", "synth/run_manifest.json",
-                 "ablation/run_manifest.json"}
+    manifests = {f"{d}/run_manifest.json" for d in ("data", "run", "synth", "ablation",
+                                                    "data128", "run128", "synth128")}
     assert manifests <= on_disk
     assert set(digests) == on_disk - manifests
     for path in ("data/manifest.json", "run/checkpoint.ntar", "run/train_log.jsonl",
@@ -36,6 +36,11 @@ def test_every_output_but_the_run_manifests_is_digested_the_same_twice(tmp_path,
         "ablation/ablation.json", "ablation/ablation_table.txt",
         *(f"ablation/{v}/{f}" for v in ("baseline", "no_dtam", "no_cte", "no_t_encoding", "full")
           for f in ("checkpoint.ntar", "train_log.jsonl", "report.json"))}
+    # the 128 px stage: 4 cases, 1 epoch, and one test case synthesized with attention
+    assert {p for p in digests if p.startswith(("data128/", "run128/"))} == {
+        "data128/manifest.json", *(f"data128/case_{i:04d}.ntar" for i in range(4)),
+        "run128/checkpoint.ntar", "run128/train_log.jsonl"}
+    assert len([p for p in digests if p.startswith("synth128/")]) == 8
     assert run(tmp_path / "two", capsys) == (0, printed)
 
 

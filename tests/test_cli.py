@@ -609,6 +609,21 @@ def test_synthesize_emits_five_files_per_case(workspace, tmp_path):
         assert len(record["signals"]) == 3
 
 
+def test_evaluate_entry_and_synthesize_class_json_hold_equal_class_fields(workspace, tmp_path):
+    report_path, out = tmp_path / "report.json", tmp_path / "synth"
+    common = ["--checkpoint", str(workspace["checkpoint"]), "--data", str(workspace["data"]),
+              "--split", "test"]
+    assert main(["evaluate", *common, "--out", str(report_path)]) == 0
+    assert main(["synthesize", *common, "--out", str(out)]) == 0
+    fields = {"class_probs", "predicted", "per_phase_cls", "signals", "signal_labels"}
+    entries = json.loads(report_path.read_text())["cases"]
+    assert entries
+    for entry in entries:
+        record = json.loads((out / f"{entry['id']}_class.json").read_text())
+        assert set(record) == fields
+        assert {k: entry[k] for k in fields} == record
+
+
 def test_synthesize_dump_attention(workspace, tmp_path):
     out = tmp_path / "synth_att"
     assert main(["synthesize", "--checkpoint", str(workspace["checkpoint"]),

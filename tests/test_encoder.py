@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import check_gradients
 from phasesynth import autodiff as ad
-from phasesynth.encoder import (PHASE_INDEX, build_conditional_token, encode_features,
-                                neighbor_mix_matrix, patchify, phase_embedding,
-                                time_encoding)
+from phasesynth.encoder import (PHASE_INDEX, build_conditional_token, depatchify,
+                                encode_features, neighbor_mix_matrix, patchify,
+                                phase_embedding, time_encoding)
 from phasesynth.errors import ConfigError, ContractError, DomainError
 from phasesynth.model import ModelConfig, init_params
 
@@ -43,6 +43,15 @@ def test_patchify_channel_concat():
     assert patches.shape == (4, 8)
     np.testing.assert_array_equal(patches[:, :4], 0.0)
     np.testing.assert_array_equal(patches[:, 4:], 1.0)
+
+
+@pytest.mark.parametrize("size", [16, 64, 128])
+def test_depatchify_inverts_patchify(size):
+    a, b = rng.uniform(0, 1, (2, size, size))
+    patches = patchify([a, b], 8)
+    assert patches.shape == ((size // 8) ** 2, 2 * 64)
+    np.testing.assert_array_equal(depatchify(patches[:, :64], size // 8, 8).data, a)
+    np.testing.assert_array_equal(depatchify(patches[:, 64:], size // 8, 8).data, b)
 
 
 def test_neighbor_mix_rows_are_averages():
@@ -210,3 +219,14 @@ def test_conditional_token_ablation_flags():
                                       use_time=False)
     with_time = build_conditional_token(t_ot, "pv", 0.25, cfg, params)
     assert not np.allclose(no_time.tokens.data[4], with_time.tokens.data[4])
+
+
+def test_no_phase_token_means_no_condition_token():
+    # the time encoding alone must not carry the phase row into the sequence
+    cfg, params = small_model()
+    t_ot = encode_features(rng.uniform(0, 1, (16, 16)), np.zeros((16, 16)),
+                           cfg, params)
+    time_only = build_conditional_token(t_ot, "pv", 0.25, cfg, params,
+                                        use_phase=False, use_time=True)
+    assert time_only.tokens is t_ot
+    assert time_only.time == 0.25

@@ -8,7 +8,11 @@ Through ``phasesynth.cli.main``, in this process and on this checkout's
 seed 3) into ``DIR/run``, ``evaluate`` the checkpoint on test and on val
 into ``DIR/eval_test.json`` and ``DIR/eval_val.json``, ``synthesize
 --dump-attention`` on test into ``DIR/synth``, and ``ablate`` with the same
-train config into ``DIR/ablation``. Then print one JSON object
+train config into ``DIR/ablation``. A 128 px stage follows, so DTAM's
+multi-tile path is covered too (at 64 px every call fits in one row tile):
+``generate`` 4 cases (seed 11, split 0.5/0.25/0.25) into ``DIR/data128``,
+``train`` 1 epoch (seed 3) into ``DIR/run128`` and ``synthesize
+--dump-attention`` on test into ``DIR/synth128``. Then print one JSON object
 that maps each file's path relative to DIR to its SHA-256, sorted by
 path. The ``run_manifest.json`` files are left out: they hold timestamps.
 Two checkouts that print the same JSON wrote the same bytes.
@@ -31,18 +35,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PHANTOM = {"case_count": 24, "master_seed": 11, "split_fractions": [0.5, 0.25, 0.25]}
 TRAIN = {"epochs": 3, "warmup_epochs": 1, "seed": 3}
+PHANTOM128 = {"image_size": 128, "case_count": 4, "master_seed": 11,
+              "split_fractions": [0.5, 0.25, 0.25]}
+TRAIN128 = {"epochs": 1, "warmup_epochs": 0, "seed": 3, "model": {"image_size": 128}}
 
 
 def run_pipeline(out):
-    """The six commands; 0, or the exit code of the first that fails."""
+    """The nine commands; 0, or the exit code of the first that fails."""
     if str(ROOT / "src") not in sys.path:
         sys.path.insert(0, str(ROOT / "src"))
     from phasesynth.cli import main
 
     data, run = os.path.join(out, "data"), os.path.join(out, "run")
+    data128, run128 = os.path.join(out, "data128"), os.path.join(out, "run128")
     with tempfile.TemporaryDirectory() as tmp:
         configs = []
-        for name, config in (("phantom.json", PHANTOM), ("train.json", TRAIN)):
+        for name, config in (("phantom.json", PHANTOM), ("train.json", TRAIN),
+                             ("phantom128.json", PHANTOM128), ("train128.json", TRAIN128)):
             configs.append(os.path.join(tmp, name))
             Path(configs[-1]).write_text(json.dumps(config))
         checkpoint = os.path.join(run, "checkpoint.ntar")
@@ -55,6 +64,11 @@ def run_pipeline(out):
              "--out", os.path.join(out, "synth"), "--dump-attention"],
             ["ablate", "--config", configs[1], "--data", data,
              "--out", os.path.join(out, "ablation")],
+            ["generate", "--config", configs[2], "--out", data128],
+            ["train", "--config", configs[3], "--data", data128, "--out", run128],
+            ["synthesize", "--checkpoint", os.path.join(run128, "checkpoint.ntar"),
+             "--data", data128, "--split", "test", "--out", os.path.join(out, "synth128"),
+             "--dump-attention"],
         ]
         for argv in commands:
             with contextlib.redirect_stdout(sys.stderr):  # stdout holds only the digests
