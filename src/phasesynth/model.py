@@ -78,6 +78,8 @@ class TrainConfig(Config):
             raise ConfigError("warmup_epochs must be smaller than epochs")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"unknown ablation {self.ablation!r}")
         self.weights.validate()

@@ -93,6 +93,8 @@ class PhantomConfig(Config):
     def validate(self):
         if self.case_count < 2:
             raise ConfigError("case_count must be at least 2")
+        if self.master_seed < 0:
+            raise ConfigError("master_seed must be non-negative")
         if not 0.0 < self.class_balance < 1.0:
             raise ConfigError("class_balance must lie in (0,1)")
         if self.image_size < 16:

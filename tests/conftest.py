@@ -4,6 +4,7 @@ attention reference."""
 import numpy as np
 import pytest
 
+import refops as ro
 from phasesynth import autodiff as ad
 from phasesynth.attention import decay_log_bias
 from phasesynth.errors import ContractError
@@ -69,7 +70,7 @@ def dtam_weights(queries, keys, times_q, times_k, sigma, use_decay=True):
     """
     if keys.shape[0] == 0:
         raise ContractError("empty key set")
-    scores = ad.matmul(queries, ad.transpose(keys))
+    scores = ad.matmul(queries, ro.transpose(keys))
     if use_decay:
         scores = ad.add(scores, ad.Tensor(decay_log_bias(times_q, times_k, sigma)))
     return ad.softmax_last_axis(scores)

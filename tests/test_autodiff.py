@@ -1,11 +1,17 @@
 """Tensor engine: forward semantics, error contracts, and gradients."""
 
+import importlib.util
+import inspect
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import check_gradients
+import refops as ro
 from phasesynth import autodiff as ad
 from phasesynth.errors import ContractError, DimensionError, DomainError
 
@@ -84,7 +90,7 @@ def test_softmax_permutation_equivariant(values, rand):
 
 
 def test_elementwise_trivia():
-    assert ad.exp(ad.Tensor(0.0)).item() == 1.0
+    assert ro.exp(ad.Tensor(0.0)).item() == 1.0
     assert ad.sigmoid(ad.Tensor(0.0)).item() == 0.5
     assert ad.relu(ad.Tensor(-2.5)).item() == 0.0
     assert ad.relu(ad.Tensor(2.5)).item() == 2.5
@@ -92,7 +98,7 @@ def test_elementwise_trivia():
 
 def test_log_domain_error():
     with pytest.raises(DomainError):
-        ad.log(ad.Tensor([1.0, 0.0]))
+        ro.log(ad.Tensor([1.0, 0.0]))
 
 
 def test_suffix_broadcast_allowed():
@@ -137,35 +143,35 @@ def test_forward_determinism():
 
 def test_backward_sum_gives_ones():
     x = ad.Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
-    ad.backward(ad.reduce_sum(x))
+    ad.backward(ro.reduce_sum(x))
     np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
 
 def test_backward_square_oracle():
     x = ad.Tensor([1.0, -2.0], requires_grad=True)
-    ad.backward(ad.reduce_sum(ad.mul(x, x)))
+    ad.backward(ro.reduce_sum(ro.mul(x, x)))
     np.testing.assert_allclose(x.grad, [2.0, -4.0])
 
 
 def test_backward_unreachable_tensor_untouched():
     x = ad.Tensor([1.0], requires_grad=True)
     y = ad.Tensor([1.0], requires_grad=True)
-    ad.backward(ad.reduce_sum(ad.mul(x, x)))
+    ad.backward(ro.reduce_sum(ro.mul(x, x)))
     assert y.grad is None  # no contribution means an all-zero adjoint
 
 
 def test_backward_requires_scalar():
     x = ad.Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ContractError):
-        ad.backward(ad.mul(x, x))
+        ad.backward(ro.mul(x, x))
 
 
 def test_backward_accumulates_across_calls():
     x = ad.Tensor([3.0], requires_grad=True)
-    loss = ad.reduce_sum(ad.mul(x, x))
+    loss = ro.reduce_sum(ro.mul(x, x))
     ad.backward(loss)
     first = x.grad.copy()
-    loss2 = ad.reduce_sum(ad.mul(x, x))
+    loss2 = ro.reduce_sum(ro.mul(x, x))
     ad.backward(loss2)
     np.testing.assert_allclose(x.grad, 2 * first)
     ad.zero_grads([x])
@@ -174,8 +180,8 @@ def test_backward_accumulates_across_calls():
 
 def test_backward_shared_subexpression_counted_once_per_use():
     x = ad.Tensor([2.0], requires_grad=True)
-    y = ad.mul(x, x)  # used twice below
-    ad.backward(ad.reduce_sum(ad.add(y, y)))
+    y = ro.mul(x, x)  # used twice below
+    ad.backward(ro.reduce_sum(ad.add(y, y)))
     np.testing.assert_allclose(x.grad, [8.0])  # d/dx 2x^2 = 4x
 
 
@@ -183,7 +189,7 @@ def test_backward_frees_operation_nodes_and_keeps_leaf_grads():
     x = ad.Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
     w = ad.Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True)
     hidden = ad.sigmoid(ad.matmul(x, w))
-    loss = ad.reduce_sum(ad.mul(hidden, hidden))
+    loss = ro.reduce_sum(ro.mul(hidden, hidden))
     ad.backward(loss)
     for node in (hidden, loss):
         assert node.grad is None and node._parents == ()
@@ -193,23 +199,23 @@ def test_backward_frees_operation_nodes_and_keeps_leaf_grads():
 
 def test_second_backward_on_consumed_graph_raises():
     x = ad.Tensor([3.0], requires_grad=True)
-    loss = ad.reduce_sum(ad.mul(x, x))
+    loss = ro.reduce_sum(ro.mul(x, x))
     ad.backward(loss)
     first = x.grad.copy()
     with pytest.raises(ContractError):
         ad.backward(loss)
     # a new loss over a consumed intermediate is refused too, before any push
-    y = ad.exp(x)
-    ad.backward(ad.reduce_sum(y))
+    y = ro.exp(x)
+    ad.backward(ro.reduce_sum(y))
     with pytest.raises(ContractError):
-        ad.backward(ad.reduce_sum(ad.add(y, x)))
+        ad.backward(ro.reduce_sum(ad.add(y, x)))
     np.testing.assert_array_equal(x.grad, first + np.exp(3.0))
 
 
 def test_add_of_one_tensor_twice_doubles_the_adjoint():
     x = ad.Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True)
     probe = rng.uniform(-1, 1, (3, 2))
-    ad.backward(ad.reduce_sum(ad.mul(ad.add(x, x), ad.Tensor(probe))))
+    ad.backward(ro.reduce_sum(ro.mul(ad.add(x, x), ad.Tensor(probe))))
     np.testing.assert_array_equal(x.grad, probe + probe)
 
 
@@ -217,14 +223,14 @@ def test_overlapping_slices_of_one_tensor_sum_their_adjoints():
     x = ad.Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
     head = ad.slice_axis(x, 0, 0, 3)
     tail = ad.slice_axis(x, 0, 1, 4)
-    ad.backward(ad.add(ad.reduce_sum(head), ad.scale(ad.reduce_sum(tail), 2.0)))
+    ad.backward(ad.add(ro.reduce_sum(head), ro.scale(ro.reduce_sum(tail), 2.0)))
     np.testing.assert_array_equal(x.grad, [[1.0] * 3, [3.0] * 3, [3.0] * 3, [2.0] * 3])
 
 
 def test_concat_of_one_tensor_twice_sums_both_pieces():
     x = ad.Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
     probe = rng.uniform(-1, 1, (2, 6))
-    ad.backward(ad.reduce_sum(ad.mul(ad.concat([x, x], axis=1), ad.Tensor(probe))))
+    ad.backward(ro.reduce_sum(ro.mul(ad.concat([x, x], axis=1), ad.Tensor(probe))))
     np.testing.assert_array_equal(x.grad, probe[:, :3] + probe[:, 3:])
 
 
@@ -236,11 +242,11 @@ def test_adjoint_shared_by_two_parents_is_never_updated_in_place(x_first, other_
     x = ad.Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True)
     w = ad.Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True)
     probe = rng.uniform(-1, 1, (3, 2))
-    shared = ad.reduce_sum(ad.mul(ad.add(x, w), ad.Tensor(probe)))
+    shared = ro.reduce_sum(ro.mul(ad.add(x, w), ad.Tensor(probe)))
     if other_use == "mul":
-        other, extra = ad.reduce_sum(ad.scale(x, 3.0)), np.full((3, 2), 3.0)
+        other, extra = ro.reduce_sum(ro.scale(x, 3.0)), np.full((3, 2), 3.0)
     else:
-        other, extra = ad.reduce_sum(ad.slice_axis(x, 0, 1, 3)), np.ones((3, 2))
+        other, extra = ro.reduce_sum(ad.slice_axis(x, 0, 1, 3)), np.ones((3, 2))
         extra[0] = 0.0
     ad.backward(ad.add(shared, other) if x_first else ad.add(other, shared))
     np.testing.assert_array_equal(w.grad, probe)
@@ -258,7 +264,7 @@ def per_head_attention(q, k, v, bias, heads, runs=None):
         for h in range(heads):
             cols = h * d, (h + 1) * d
             scores = ad.matmul(ad.slice_axis(ad.slice_axis(q, 0, lo, lo + rows), 1, *cols),
-                               ad.transpose(ad.slice_axis(k, 1, *cols)))
+                               ro.transpose(ad.slice_axis(k, 1, *cols)))
             if bias is not None:
                 scores = ad.add(scores, ad.Tensor(bias[lo:lo + rows]))
             outs.append(ad.matmul(ad.softmax_last_axis(scores), ad.slice_axis(v, 1, *cols)))
@@ -539,7 +545,7 @@ def test_detached_dtam_attention_holds_one_score_matrix_at_a_time():
 def test_gradients_elementwise_chain():
     arrays = {"x": rng.uniform(-1, 1, (3, 4)), "y": rng.uniform(0.1, 1, (3, 4))}
     check_gradients(
-        lambda t: ad.reduce_sum(ad.mul(ad.sigmoid(t["x"]), ad.log(t["y"]))),
+        lambda t: ro.reduce_sum(ro.mul(ad.sigmoid(t["x"]), ro.log(t["y"]))),
         arrays)
 
 
@@ -547,8 +553,8 @@ def test_gradients_matmul_softmax():
     arrays = {"a": rng.uniform(-1, 1, (3, 3)), "b": rng.uniform(-1, 1, (3, 2))}
     probe = rng.uniform(-1, 1, (3, 2))
     check_gradients(
-        lambda t: ad.reduce_sum(
-            ad.mul(ad.softmax_last_axis(ad.matmul(t["a"], t["b"])), ad.Tensor(probe))),
+        lambda t: ro.reduce_sum(
+            ro.mul(ad.softmax_last_axis(ad.matmul(t["a"], t["b"])), ad.Tensor(probe))),
         arrays)
 
 
@@ -558,8 +564,8 @@ def test_gradients_slice_concat_reshape():
     def build(t):
         a = ad.slice_axis(t["x"], 0, 0, 2)
         b = ad.slice_axis(t["x"], 0, 2, 4)
-        joined = ad.transpose(ad.concat([a, b], axis=0))
-        return ad.reduce_mean(ad.mul(joined, joined))
+        joined = ro.transpose(ad.concat([a, b], axis=0))
+        return ad.reduce_mean(ro.mul(joined, joined))
 
     check_gradients(build, arrays)
 
@@ -586,7 +592,7 @@ def run_both(fused, composed, arrays):
         out = op(leaves)
         if probe is None:
             probe = ad.Tensor(rng.uniform(-1, 1, out.shape))
-        ad.backward(ad.reduce_sum(ad.mul(out, probe)))
+        ad.backward(ro.reduce_sum(ro.mul(out, probe)))
         results.append([out.data] + [leaves[name].grad for name in sorted(arrays)])
     return results
 
@@ -640,7 +646,7 @@ def test_rearrange_is_one_node_equal_to_reshape_transpose_reshape():
     split, axes, shape = (2, 3, 4, 5), (0, 2, 1, 3), (8, 15)
 
     def composed(t):
-        return ad.reshape(ad.transpose(ad.reshape(t["x"], split), axes), shape)
+        return ad.reshape(ro.transpose(ad.reshape(t["x"], split), axes), shape)
 
     arrays = {"x": rng.uniform(-1, 1, (6, 20))}
     fused, composed = run_both(lambda t: ad.rearrange(t["x"], split, axes, shape),
@@ -653,7 +659,7 @@ def syn_loss_composition(preds, gts):
     """The sub, abs, mean and add nodes of ``syn_loss`` before it was fused."""
     total = ad.Tensor(0.0)
     for pred, gt in zip(preds, gts):
-        total = ad.add(total, ad.reduce_mean(ad.abs_val(ad.sub(pred, ad.Tensor(gt)))))
+        total = ad.add(total, ad.reduce_mean(ro.abs_val(ro.sub(pred, ad.Tensor(gt)))))
     return total
 
 
@@ -662,18 +668,18 @@ def seg_loss_composition(logits_per_phase, gt, weights, eps=1e-6, clamp=1e-7):
     total = ad.Tensor(0.0)
     for logits in logits_per_phase:
         probs = ad.sigmoid(logits)
-        inter = ad.reduce_sum(ad.mul(probs, ad.Tensor(gt)))
-        denom = ad.add(ad.reduce_sum(probs), ad.Tensor(float(gt.sum())))
-        overlap = ad.div(ad.add(ad.scale(inter, 2.0), ad.Tensor(eps)),
+        inter = ro.reduce_sum(ro.mul(probs, ad.Tensor(gt)))
+        denom = ad.add(ro.reduce_sum(probs), ad.Tensor(float(gt.sum())))
+        overlap = ro.div(ad.add(ro.scale(inter, 2.0), ad.Tensor(eps)),
                          ad.add(denom, ad.Tensor(eps)))
-        dice = ad.sub(ad.Tensor(1.0), overlap)
-        p = ad.clip_min(probs, clamp)
-        q = ad.clip_min(ad.sub(ad.Tensor(np.ones_like(gt)), probs), clamp)
-        pos = ad.mul(ad.Tensor(gt), ad.log(p))
-        neg = ad.mul(ad.Tensor(1.0 - gt), ad.log(q))
-        bce = ad.scale(ad.reduce_mean(ad.add(pos, neg)), -1.0)
-        total = ad.add(total, ad.add(ad.scale(dice, weights.dice), ad.scale(bce, weights.ce)))
-    return ad.scale(total, 1.0 / len(logits_per_phase))
+        dice = ro.sub(ad.Tensor(1.0), overlap)
+        p = ro.clip_min(probs, clamp)
+        q = ro.clip_min(ro.sub(ad.Tensor(np.ones_like(gt)), probs), clamp)
+        pos = ro.mul(ad.Tensor(gt), ro.log(p))
+        neg = ro.mul(ad.Tensor(1.0 - gt), ro.log(q))
+        bce = ro.scale(ad.reduce_mean(ad.add(pos, neg)), -1.0)
+        total = ad.add(total, ad.add(ro.scale(dice, weights.dice), ro.scale(bce, weights.ce)))
+    return ro.scale(total, 1.0 / len(logits_per_phase))
 
 
 def test_syn_loss_is_one_node_equal_to_the_composition():
@@ -712,7 +718,7 @@ def test_total_loss_is_one_node_equal_to_the_composition(cls_w, tcc_w):
     def composed(t):
         # the add and scale nodes of ``total_loss`` before it was fused
         return ad.add(ad.add(t["syn"], t["seg"]),
-                      ad.add(ad.scale(t["cls"], cls_w), ad.scale(t["tcc"], tcc_w)))
+                      ad.add(ro.scale(t["cls"], cls_w), ro.scale(t["tcc"], tcc_w)))
 
     fused, composed = run_both(lambda t: total_loss(*(t[name] for name in names), weights),
                                composed, arrays)
@@ -725,7 +731,7 @@ def test_total_loss_is_one_node_equal_to_the_composition(cls_w, tcc_w):
 def cls_loss_composition(probs, label, clamp=1e-7):
     """The slice, clip, log, scale and reshape nodes of ``cls_loss`` before it was fused."""
     p_true = ad.slice_axis(probs, 0, label, label + 1)
-    return ad.reshape(ad.scale(ad.log(ad.clip_min(p_true, clamp)), -1.0), ())
+    return ad.reshape(ro.scale(ro.log(ro.clip_min(p_true, clamp)), -1.0), ())
 
 
 @pytest.mark.parametrize("label", [0, 1])
@@ -750,8 +756,8 @@ def tcc_loss_composition(preds, labels):
     """The sub, mul and add nodes of ``tcc_loss`` before it was fused."""
     total = ad.Tensor(0.0)
     for p, lab in zip(preds, labels):
-        d = ad.sub(p, ad.Tensor(float(lab)))
-        total = ad.add(total, ad.mul(d, d))
+        d = ro.sub(p, ad.Tensor(float(lab)))
+        total = ad.add(total, ro.mul(d, d))
     return total
 
 
@@ -791,7 +797,7 @@ def test_dtam_attention_backward_over_live_rows(live):
                lambda q, k, v: per_head_attention(q, k, v, bias.repeat(runs, axis=0), heads)):
         leaves = {name: ad.Tensor(a, requires_grad=True) for name, a in arrays.items()}
         out = op(leaves["q"], leaves["k"], leaves["v"])
-        ad.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(probe))))
+        ad.backward(ro.reduce_sum(ro.mul(out, ad.Tensor(probe))))
         results.append([out.data] + [leaves[name].grad for name in "qkv"])
     (out, dq, dk, dv), looped = results
     oracle, _ = longdouble_attention(arrays["q"], arrays["k"], arrays["v"],
@@ -815,8 +821,26 @@ def test_backward_calls_no_adjoint_of_a_parent_without_a_gradient():
     const = ad.Tensor(rng.uniform(-1, 1, (2, 3)))
     out = ad.node(x.data * const.data, (const, x), refuse, lambda g: g * const.data)
     assert out.requires_grad and out._parents == (const, x)
-    ad.backward(ad.reduce_sum(out))
+    ad.backward(ro.reduce_sum(out))
     np.testing.assert_array_equal(x.grad, const.data)
     assert const.grad is None
     # without any parent that requires a gradient the node stays off the tape
     assert ad.node(const.data, (const,), refuse)._parents == ()
+
+
+def test_every_public_autodiff_function_has_a_product_caller_or_is_traced():
+    # an op only the tests call belongs in tests/refops.py, not in src/
+    src = Path(ad.__file__).resolve().parent
+    spec = importlib.util.spec_from_file_location(
+        "phasebench_trace", src.parent.parent / "phasebench" / "trace.py")
+    trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace)
+    traced = {name for module, name in trace.SPAN_TARGETS + trace.COUNT_TARGETS
+              if module == "autodiff"}
+    called = set()
+    for path in src.glob("*.py"):
+        if path.name != "autodiff.py":
+            called.update(re.findall(r"\b(?:ad|autodiff)\.(\w+)", path.read_text()))
+    public = {name for name, fn in inspect.getmembers(ad, inspect.isfunction)
+              if not name.startswith("_") and fn.__module__ == ad.__name__}
+    assert sorted(public - called - traced) == []

@@ -192,6 +192,27 @@ def test_json_input_that_is_not_utf8_is_data_error(workspace, tmp_path, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, argv, config, key", [
+    ("generate", ["--seed", "-1"], None, "master_seed"),
+    ("generate", [], {"master_seed": -5}, "master_seed"),
+    ("train", ["--seed", "-1"], TRAIN_CFG, "seed"),
+    ("ablate", ["--seed", "-1"], TRAIN_CFG, "seed"),
+], ids=["generate_seed_-1", "master_seed_-5", "train_seed_-1", "ablate_seed_-1"])
+def test_negative_seed_is_data_error_and_writes_nothing(workspace, tmp_path, command, argv,
+                                                        config, key, capsys):
+    # numpy's generators refuse a negative seed with a ValueError traceback
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    if command != "generate":
+        argv = argv + ["--data", str(workspace["data"])]
+    out = tmp_path / "out"
+    assert main([command, *argv, "--out", str(out)]) == DATA_ERROR
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_artifacts(workspace):
     assert workspace["checkpoint"].exists()
     assert (workspace["run"] / "train_log.jsonl").exists()
@@ -376,8 +397,9 @@ def test_checkpoint_ablation_must_be_a_known_name(workspace, tmp_path, command, 
 
 @pytest.mark.parametrize("command", ["evaluate", "synthesize"])
 @pytest.mark.parametrize("damage", [lambda c: c.pop("weights"), lambda c: c.pop("base_lr"),
-                                    lambda c: c.update(base_lr=0.0)],
-                         ids=["no_weights", "no_base_lr", "base_lr_0"])
+                                    lambda c: c.update(base_lr=0.0),
+                                    lambda c: c.update(seed=-1)],
+                         ids=["no_weights", "no_base_lr", "base_lr_0", "seed_-1"])
 def test_checkpoint_config_must_be_a_whole_valid_train_config(workspace, tmp_path, command,
                                                               damage, capsys):
     # evaluate read only the model echo, ablation and seed, and exited 0 on these

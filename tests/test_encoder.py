@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import check_gradients
+import refops as ro
 from phasesynth import autodiff as ad
 from phasesynth.encoder import (PHASE_INDEX, build_conditional_token, depatchify,
                                 encode_features, neighbor_mix_matrix, patchify,
@@ -130,7 +131,7 @@ def test_encode_gradient_flows_to_parameters():
 
     def build(t):
         p = {k: (t[k] if k in t else ad.Tensor(v.data)) for k, v in params.items()}
-        return ad.reduce_mean(ad.mul(encode_features(img, mask, cfg, p),
+        return ad.reduce_mean(ro.mul(encode_features(img, mask, cfg, p),
                                      encode_features(img, mask, cfg, p)))
 
     check_gradients(build, arrays, sample=60)
