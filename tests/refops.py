@@ -1,11 +1,11 @@
 """Node-by-node reference ops that the product's fused ops are held to.
 
-The model runs only fused ops (``linear``, ``rearrange``, ``dtam_attention``
-and the one-node losses). The tests compose these elementwise and shaping
-ops into the same computations, one tape node per step, and compare. Each
-op is built on ``autodiff.node`` with autodiff's own broadcasting and
-reduction helpers, so its forward and adjoints are the float operations the
-fused ops replaced.
+Where the model once composed these elementwise and shaping ops it now runs
+one fused node (``linear``, ``rearrange``, ``dtam_attention`` and the
+one-node losses). The tests compose them into the same computations, one
+tape node per step, and compare. Each op is built on ``autodiff.node`` with
+autodiff's own broadcasting and reduction helpers, so its forward and
+adjoints are the float operations the fused ops replaced.
 """
 
 import numpy as np
